@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, lp
-from .envelope import RiskEnvelope, risk_identifiers
+from .envelope import Measure, RiskEnvelope, risk_identifiers
 from .errors import (
     EmptyIntersection,
     InternalCheckError,
@@ -118,7 +118,7 @@ def cooperative_envelope(envelopes) -> RiskEnvelope:
                 "risk envelopes claim an empty intersection"
             ) from exc
     return RiskEnvelope(
-        poly.vertices, space, kind="intersection", meta={"parts": tuple(envelopes)}
+        poly.vertices, space, Measure("custom", generators=poly.vertices)
     )
 
 

@@ -22,8 +22,6 @@ from .errors import (
 )
 from .probspace import FiniteProbSpace, MarketModel
 
-CENTER_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class Views:
@@ -114,29 +112,6 @@ def posterior_space(
     return FiniteProbSpace(shifted / shifted.sum())
 
 
-def _rebuild_envelope(env: RiskEnvelope, space: FiniteProbSpace) -> RiskEnvelope:
-    """Reconstruct the envelope's deviation measure on a new space."""
-    kind = env.kind
-    if kind == "mad":
-        return env_mod.build_mad(space)
-    if kind == "cvar":
-        return env_mod.build_cvar(space, env.meta["alpha"])
-    if kind == "mixed_cvar":
-        return env_mod.build_mixed_cvar(space, env.meta["alphas"], env.meta["lambdas"])
-    if kind == "mix":
-        parts = [_rebuild_envelope(p, space) for p in env.meta["parts"]]
-        return env_mod.mix(parts, env.meta["lambdas"])
-    if kind == "max":
-        parts = [_rebuild_envelope(p, space) for p in env.meta["parts"]]
-        return env_mod.max_combine(parts)
-    if kind == "scale":
-        return env_mod.scale(_rebuild_envelope(env.meta["inner"], space), env.meta["lambda"])
-    raise Unsupported(
-        f"cannot transport a {kind!r} envelope to the posterior space: its "
-        "generators are tied to the prior probabilities"
-    )
-
-
 def bl_pipeline(
     market: MarketModel,
     env: RiskEnvelope,
@@ -170,8 +145,13 @@ def bl_pipeline(
     )
     if np.array_equal(q_space.weights, market.space.weights):
         post_env = env  # unchanged space: nothing to transport
+    elif not env.measure.portable:
+        raise Unsupported(
+            "cannot transport an envelope with custom generators to the "
+            "posterior space: they are tied to the prior probabilities"
+        )
     else:
-        post_env = _rebuild_envelope(env, q_space)
+        post_env = env_mod.build(env.measure, q_space)
     solution = forward.solve_forward(post_market, post_env, delta_m)
     narrative = {
         "views_applied": views is not None or posterior_weights is not None,

@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
     ZeroRiskPortfolio,
 )
-from .probspace import FiniteProbSpace, center_market, ingest_csv
+from .probspace import FiniteProbSpace, MarketModel, center_market, ingest_csv
 
 VALIDATION_EXIT = 1
 NUMERICAL_EXIT = 2
@@ -93,16 +93,12 @@ def _market_from_config(cfg):
     if cfg.get("centered", False):
         if "mu" not in cfg:
             raise ValidationError("centered returns need an explicit mu")
-        from .probspace import MarketModel
-
         market = MarketModel(
             raw, np.asarray(cfg["mu"], dtype=float), r0, delta, space
         )
     else:
         market = center_market(raw, space, r0, delta)
         if "mu" in cfg:
-            from .probspace import MarketModel
-
             market = MarketModel(
                 market.centered_returns,
                 np.asarray(cfg["mu"], dtype=float),
@@ -113,47 +109,54 @@ def _market_from_config(cfg):
     return market
 
 
-def _envelope_from_spec(spec, space) -> envelope.RiskEnvelope:
+def _nonempty_list(spec, key) -> list:
+    value = spec[key]
+    if not isinstance(value, list) or not value:
+        raise ValidationError(f'"{key}" must be a non-empty list')
+    return value
+
+
+def _measure_from_spec(spec) -> envelope.Measure:
+    """Parse a JSON measure spec; `mixed_cvar` and `scale` spell mix recipes."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValidationError('measure spec needs a "kind"')
     kind = spec["kind"]
     envelope.reject_non_finitely_generated(kind)
-    if kind == "mad":
-        return envelope.build_mad(space)
     if kind == "cvar":
-        return envelope.build_cvar(space, float(spec["alpha"]))
+        return envelope.Measure("cvar", alpha=spec["alpha"])
+    if kind == "custom":
+        return envelope.Measure("custom", generators=spec["generators"])
     if kind == "mixed_cvar":
-        terms = spec["terms"]
-        return envelope.build_mixed_cvar(
-            space,
-            [t["alpha"] for t in terms],
-            [t["lambda"] for t in terms],
+        terms = _nonempty_list(spec, "terms")
+        if not all(isinstance(t, dict) for t in terms):
+            raise ValidationError('"terms" must hold {"alpha", "lambda"} objects')
+        return envelope.mixed_cvar(
+            [t["alpha"] for t in terms], [t["lambda"] for t in terms]
         )
     if kind == "scale":
-        inner = _envelope_from_spec(spec["inner"], space)
-        return envelope.scale(inner, float(spec["lambda"]))
-    if kind == "mix":
-        parts = [_envelope_from_spec(p, space) for p in spec["parts"]]
+        inner = _measure_from_spec(spec["inner"])
+        return envelope.Measure("mix", parts=(inner,), lambdas=(spec["lambda"],))
+    if kind in ("mix", "max"):
+        parts = tuple(_measure_from_spec(p) for p in _nonempty_list(spec, "parts"))
+        if kind == "max":
+            return envelope.Measure("max", parts=parts)
         lambdas = spec.get("lambdas", [1.0 / len(parts)] * len(parts))
-        return envelope.mix(parts, lambdas)
-    if kind == "max":
-        parts = [_envelope_from_spec(p, space) for p in spec["parts"]]
-        return envelope.max_combine(parts)
-    if kind == "custom":
-        return envelope.build_custom(space, spec["generators"])
-    raise ValidationError(f"unknown measure kind {kind!r}")
+        return envelope.Measure("mix", parts=parts, lambdas=lambdas)
+    return envelope.Measure(kind)
 
 
 def _steiner_config(cfg) -> geometry.SteinerConfig:
-    return geometry.SteinerConfig(
-        samples=int(cfg.get("samples", geometry.DEFAULT_SAMPLES)),
-        seed=int(cfg.get("seed", 0)),
-    )
+    try:
+        samples = int(cfg.get("samples", geometry.DEFAULT_SAMPLES))
+        seed = int(cfg.get("seed", 0))
+    except (TypeError, ValueError):
+        raise ValidationError("samples and seed must be integers") from None
+    return geometry.SteinerConfig(samples=samples, seed=seed)
 
 
 def _cmd_forward(cfg) -> dict:
     market = _market_from_config(cfg)
-    env = _envelope_from_spec(cfg["measure"], market.space)
+    env = envelope.build(_measure_from_spec(cfg["measure"]), market.space)
     sol = forward.solve_forward(market, env, float(cfg["delta"]))
     report = forward.diagnose_uniqueness(sol, market.mu)
     return {
@@ -168,7 +171,7 @@ def _cmd_forward(cfg) -> dict:
 
 def _cmd_inverse(cfg) -> dict:
     market = _market_from_config(cfg)
-    env = _envelope_from_spec(cfg["measure"], market.space)
+    env = envelope.build(_measure_from_spec(cfg["measure"]), market.space)
     x_m = np.asarray(cfg["x_m"], dtype=float)
     delta_m = float(cfg["delta_m"])
     inv = inverse.inverse_solution_set(market, env, x_m, delta_m)
@@ -185,7 +188,7 @@ def _cmd_selector(cfg) -> dict:
     space = _space_from_config(cfg)
     if space is None:
         raise ValidationError("selector needs a space")
-    env = _envelope_from_spec(cfg["measure"], space)
+    env = envelope.build(_measure_from_spec(cfg["measure"]), space)
     x = np.asarray(cfg["x"], dtype=float)
     kind = cfg.get("selector", "robust")
     if kind == "robust":
@@ -209,7 +212,7 @@ def _cmd_alloc(cfg) -> dict:
     space = _space_from_config(cfg)
     if space is None:
         raise ValidationError("alloc needs a space")
-    env = _envelope_from_spec(cfg["measure"], space)
+    env = envelope.build(_measure_from_spec(cfg["measure"]), space)
     risk = allocation.deviation_function(env)
     parts = [np.asarray(p, dtype=float) for p in cfg["subportfolios"]]
     res = allocation.capital_allocation(risk, parts, _steiner_config(cfg))
@@ -225,7 +228,7 @@ def _cmd_coop(cfg) -> dict:
     if space is None:
         raise ValidationError("coop needs a space")
     returns = np.asarray(cfg["returns"], dtype=float)
-    envs = [_envelope_from_spec(s, space) for s in cfg["measures"]]
+    envs = [envelope.build(_measure_from_spec(s), space) for s in cfg["measures"]]
     sol = allocation.solve_cooperative(
         returns, space, envs, cfg.get("capital"), _steiner_config(cfg)
     )
@@ -244,7 +247,7 @@ def _cmd_coop(cfg) -> dict:
 
 def _cmd_bl(cfg) -> dict:
     market = _market_from_config(cfg)
-    env = _envelope_from_spec(cfg["measure"], market.space)
+    env = envelope.build(_measure_from_spec(cfg["measure"]), market.space)
     views = None
     override = None
     if "views" in cfg:
@@ -311,8 +314,6 @@ def _perms(*vals):
 
 def _mad_market():
     space = FiniteProbSpace.uniform(3)
-    from .probspace import MarketModel
-
     return MarketModel(
         np.asarray([[-1.0, -1.0, 2.0], [-2.0, 1.0, 1.0]]),
         np.asarray([0.4, 0.6]),
@@ -324,8 +325,6 @@ def _mad_market():
 
 def _cvar_market(mu=(1.0 / 3.0, 2.0 / 3.0), delta=0.5):
     space = FiniteProbSpace.uniform(3)
-    from .probspace import MarketModel
-
     return MarketModel(
         np.asarray([[-1.0, 0.0, 1.0], [0.0, -1.0, 1.0]]),
         np.asarray(mu, dtype=float),
@@ -378,7 +377,7 @@ def _golden_cases():
         expected = np.vstack(
             [_perms(1.5, 1.0, 0.5), _perms(4.0 / 3.0, 4.0 / 3.0, 1.0 / 3.0)]
         )
-        ok = _vertex_set_match(coal.generators, expected)
+        ok = _vertex_set_match(coal.generators, expected, 1e-9)
         return ok, f"{coal.n_generators} vertices"
 
     def coalition_identifiers():
@@ -438,7 +437,7 @@ def _golden_cases():
         env = envelope.build_mad(u3)
         inv = inverse.inverse_solution_set(market, env, [0.5, 0.5], 0.5)
         expected = np.asarray([[1.0 / 3.0, 2.0 / 3.0], [2.0 / 3.0, 1.0 / 3.0]])
-        ok = _vertex_set_match(inv.polytope.vertices, expected)
+        ok = _vertex_set_match(inv.polytope.vertices, expected, 1e-9)
         mu = inverse.robust_mu(market, env, [0.5, 0.5], 0.5)
         ok &= _close(mu, [0.5, 0.5])
         return ok, f"robust mu={mu.tolist()}"
@@ -450,12 +449,23 @@ def _golden_cases():
         ok = sol.unique and _close(sol.x, [0.5, 0.5])
         return ok, f"x={sol.x.tolist()}"
 
+    def cvar_identifier_face():
+        # Identifier family Q = (q, 3-q, 0) at x*: both endpoints identify.
+        market = _cvar_market()
+        env = envelope.build_cvar(u3, 0.05)
+        sol = forward.solve_forward(market, env, 0.5)
+        x_star = market.portfolio_return(sol.x).values
+        ident = envelope.risk_identifiers(env, x_star)
+        expected = np.asarray([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
+        ok = _vertex_set_match(ident.polytope.vertices, expected, 1e-9)
+        return ok, f"{ident.polytope.n_vertices} active"
+
     def cvar_inverse():
         market = _cvar_market()
         env = envelope.build_cvar(u3, 0.05)
         inv = inverse.inverse_solution_set(market, env, [0.5, 0.5], 0.5)
         expected = np.asarray([[0.0, 1.0], [1.0, 0.0]])
-        ok = _vertex_set_match(inv.polytope.vertices, expected)
+        ok = _vertex_set_match(inv.polytope.vertices, expected, 1e-9)
         q = inverse.robust_selector(env, np.asarray([-0.5, -0.5, 1.0])).values
         ok &= _close(q, [1.5, 1.5, 0.0])
         mu = inverse.robust_mu(market, env, [0.5, 0.5], 0.5)
@@ -467,7 +477,7 @@ def _golden_cases():
         env = envelope.build_cvar(u3, 0.05)
         gens = forward.portfolio_risk_generators(market, env)
         expected = np.asarray([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-        ok = _vertex_set_match(gens.vectors, expected)
+        ok = _vertex_set_match(gens.vectors, expected, 1e-9)
         return ok, f"{gens.count} generators"
 
     def bl_mu_star():
@@ -500,7 +510,7 @@ def _golden_cases():
         gens = res.solution.generators.vectors
         active = gens[list(res.solution.active_generators)]
         expected = np.asarray([[1.25, 0.25], [0.25, 1.25]])
-        ok &= _vertex_set_match(active, expected)
+        ok &= _vertex_set_match(active, expected, 1e-9)
         return ok, f"x={res.solution.x.tolist()}"
 
     def lp_63_value():
@@ -533,6 +543,7 @@ def _golden_cases():
         ("mad-forward", mad_forward),
         ("mad-inverse", mad_inverse),
         ("cvar-forward", cvar_forward),
+        ("cvar-identifier-face", cvar_identifier_face),
         ("cvar-inverse", cvar_inverse),
         ("portfolio-risk-generators", bl_generators),
         ("inverse-unique-mu-star", bl_mu_star),

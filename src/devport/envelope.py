@@ -2,13 +2,14 @@
 
 A deviation measure is represented by the extreme generators Q of its risk
 envelope: D(X) = E[X] + max_Q E[-XQ], with E[Q] = 1 for every generator.
-Builders cover MAD, CVaR and the mixture/max/scaling combinators; the
-provenance tag is kept so closed-form selectors can dispatch on it.
+Builders cover MAD, CVaR and the mixture/max/scaling combinators. Every
+envelope carries the `Measure` recipe it was built from, so closed-form
+selectors and Black-Litterman transport read the recipe, not the vertices.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -30,6 +31,62 @@ GEN_DEDUP_TOL = 1e-10
 ACTIVITY_TOL = 1e-9
 MAD_SCENARIO_GUARD = 20
 CVAR_CANDIDATE_GUARD = 10**6
+MEASURE_KINDS = ("mad", "cvar", "mix", "max", "custom")
+
+
+def _floats(values, what: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be numeric, got {values!r}") from None
+
+
+@dataclass(frozen=True)
+class Measure:
+    """Recipe of a finitely generated deviation measure, free of any space.
+
+    Kinds: "mad"; "cvar" with alpha in (0,1); "mix", the sum of
+    lambda_i * D_i over its parts with positive lambdas; "max" of its parts;
+    "custom" with its generators as given. `build` makes the envelope of a
+    recipe on a space.
+    """
+
+    kind: str
+    alpha: float | None = None
+    parts: tuple["Measure", ...] = ()
+    lambdas: tuple[float, ...] = ()
+    generators: tuple[tuple[float, ...], ...] = ()
+
+    def __post_init__(self):
+        if self.kind not in MEASURE_KINDS:
+            raise ValidationError(f"unknown measure kind {self.kind!r}")
+        if self.kind == "cvar":
+            alpha = _floats(self.alpha, "alpha")
+            if alpha.ndim != 0 or not 0.0 < alpha < 1.0:
+                raise ValidationError(f"alpha must lie in (0,1), got {self.alpha!r}")
+            object.__setattr__(self, "alpha", float(alpha))
+        if self.kind in ("mix", "max"):
+            if not self.parts:
+                raise ValidationError(f"a {self.kind} measure needs at least one part")
+            object.__setattr__(self, "parts", tuple(self.parts))
+        if self.kind == "mix":
+            lambdas = _floats(self.lambdas, "mixture weights")
+            if lambdas.shape != (len(self.parts),):
+                raise ValidationError("one weight per part required")
+            if not np.all(lambdas > 0):
+                raise ValidationError("mixture weights must be positive")
+            object.__setattr__(self, "lambdas", tuple(lambdas.tolist()))
+        if self.kind == "custom":
+            g = np.atleast_2d(_floats(self.generators, "generators"))
+            if g.ndim != 2 or g.size == 0:
+                raise ValidationError("custom generators must be a non-empty matrix")
+            object.__setattr__(self, "generators", tuple(map(tuple, g.tolist())))
+
+    @property
+    def portable(self) -> bool:
+        """Whether the recipe is free of custom generators, which are tied
+        to the probabilities of the space they were written for."""
+        return self.kind != "custom" and all(p.portable for p in self.parts)
 
 
 @dataclass(frozen=True)
@@ -38,8 +95,7 @@ class RiskEnvelope:
 
     generators: np.ndarray  # one generator per row
     space: FiniteProbSpace
-    kind: str = "custom"
-    meta: dict = field(default_factory=dict, compare=False)
+    measure: Measure
 
     def __post_init__(self):
         g = np.asarray(self.generators, dtype=float)
@@ -101,7 +157,7 @@ def build_mad(space: FiniteProbSpace) -> RiskEnvelope:
     gens = np.asarray(gens)
     if not space.is_uniform:
         gens = geometry.extreme_filter(gens, GEN_DEDUP_TOL).vertices
-    return RiskEnvelope(gens, space, kind="mad")
+    return RiskEnvelope(gens, space, Measure("mad"))
 
 
 def _cvar_vertices(space: FiniteProbSpace, alpha: float) -> np.ndarray:
@@ -159,10 +215,8 @@ def _cvar_vertices(space: FiniteProbSpace, alpha: float) -> np.ndarray:
 
 def build_cvar(space: FiniteProbSpace, alpha: float) -> RiskEnvelope:
     """CVaR deviation envelope {Q : E[Q]=1, 0 <= Q <= 1/alpha}."""
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0,1), got {alpha}")
-    gens = _cvar_vertices(space, alpha)
-    return RiskEnvelope(gens, space, kind="cvar", meta={"alpha": float(alpha)})
+    measure = Measure("cvar", alpha=alpha)
+    return RiskEnvelope(_cvar_vertices(space, measure.alpha), space, measure)
 
 
 def _minkowski_generators(parts, lambdas) -> np.ndarray:
@@ -173,22 +227,21 @@ def _minkowski_generators(parts, lambdas) -> np.ndarray:
     return acc.vertices
 
 
+def mixed_cvar(alphas, lambdas) -> Measure:
+    """Recipe of sum(lambda_i * CVaR(alpha_i)) with weights summing to 1."""
+    alphas = _floats(alphas, "alphas")
+    lambdas = _floats(lambdas, "mixture weights")
+    if alphas.ndim != 1 or alphas.shape != lambdas.shape:
+        raise ValidationError("need matching alpha and lambda lists")
+    if abs(float(lambdas.sum()) - 1.0) > 1e-10:
+        raise ValidationError("mixture weights must sum to 1")
+    parts = tuple(Measure("cvar", alpha=a) for a in alphas.tolist())
+    return Measure("mix", parts=parts, lambdas=lambdas)
+
+
 def build_mixed_cvar(space: FiniteProbSpace, alphas, lambdas) -> RiskEnvelope:
     """Mixture sum(lambda_i * CVaR(alpha_i)) as a Minkowski combination."""
-    alphas = [float(a) for a in alphas]
-    lambdas = [float(l) for l in lambdas]
-    if len(alphas) != len(lambdas) or not alphas:
-        raise ValidationError("need matching non-empty alpha and lambda lists")
-    if any(l <= 0 for l in lambdas):
-        raise ValidationError("mixture weights must be positive")
-    if abs(sum(lambdas) - 1.0) > 1e-10:
-        raise ValidationError("mixture weights must sum to 1")
-    parts = [_cvar_vertices(space, a) for a in alphas]
-    gens = _minkowski_generators(parts, lambdas)
-    gens = geometry.extreme_filter(gens, GEN_DEDUP_TOL).vertices
-    return RiskEnvelope(
-        gens, space, kind="mixed_cvar", meta={"alphas": alphas, "lambdas": lambdas}
-    )
+    return build(mixed_cvar(alphas, lambdas), space)
 
 
 def _shared_space(envelopes) -> FiniteProbSpace:
@@ -205,21 +258,17 @@ def mix(envelopes, lambdas) -> RiskEnvelope:
     """Envelope of sum(lambda_i * D_i) for positive weights.
 
     When the weights do not sum to 1 the generators pick up the constant
-    shift (1 - sum lambda) so that E[Q] = 1 still holds.
+    shift (1 - sum lambda) so that E[Q] = 1 still holds. A single part is
+    only scaled and shifted, which keeps its generators extreme.
     """
     space = _shared_space(envelopes)
-    lambdas = [float(l) for l in lambdas]
-    if len(lambdas) != len(envelopes):
-        raise ValidationError("one weight per envelope required")
-    if any(l <= 0 for l in lambdas):
-        raise ValidationError("mixture weights must be positive")
-    shift = 1.0 - sum(lambdas)
-    gens = _minkowski_generators([e.generators for e in envelopes], lambdas) + shift
-    gens = geometry.extreme_filter(gens, GEN_DEDUP_TOL).vertices
-    return RiskEnvelope(
-        gens, space, kind="mix",
-        meta={"lambdas": lambdas, "parts": tuple(envelopes)},
-    )
+    measure = Measure("mix", parts=tuple(e.measure for e in envelopes), lambdas=lambdas)
+    shift = 1.0 - sum(measure.lambdas)
+    gens = _minkowski_generators([e.generators for e in envelopes], measure.lambdas)
+    gens = gens + shift
+    if len(envelopes) > 1:
+        gens = geometry.extreme_filter(gens, GEN_DEDUP_TOL).vertices
+    return RiskEnvelope(gens, space, measure)
 
 
 def max_combine(envelopes) -> RiskEnvelope:
@@ -228,33 +277,38 @@ def max_combine(envelopes) -> RiskEnvelope:
     stacked = np.vstack([e.generators for e in envelopes])
     gens = geometry.extreme_filter(stacked, GEN_DEDUP_TOL).vertices
     return RiskEnvelope(
-        gens, space, kind="max", meta={"parts": tuple(envelopes)}
+        gens, space, Measure("max", parts=tuple(e.measure for e in envelopes))
     )
 
 
 def scale(env: RiskEnvelope, lam: float) -> RiskEnvelope:
     """Envelope of lambda * D: generators (1 - lambda) + lambda * Q."""
-    lam = float(lam)
-    if lam <= 0:
-        raise ValidationError("scale factor must be positive")
-    gens = (1.0 - lam) + lam * env.generators
-    return RiskEnvelope(
-        gens, env.space, kind="scale", meta={"lambda": lam, "inner": env}
-    )
+    return mix([env], [lam])
 
 
 def build_custom(space: FiniteProbSpace, generators) -> RiskEnvelope:
     """User-supplied generator list; filtered to its extreme points.
 
-    Dropped points are reported in the meta under "filtered_out" so the
-    silent change is visible in diagnostics.
+    The recipe keeps the generators as given, so the points the filter
+    dropped stay visible in diagnostics.
     """
-    raw = np.asarray(generators, dtype=float)
-    poly = geometry.extreme_filter(raw, GEN_DEDUP_TOL)
-    dropped = raw.shape[0] - poly.n_vertices
-    return RiskEnvelope(
-        poly.vertices, space, kind="custom", meta={"filtered_out": int(dropped)}
-    )
+    measure = Measure("custom", generators=generators)
+    poly = geometry.extreme_filter(np.asarray(measure.generators), GEN_DEDUP_TOL)
+    return RiskEnvelope(poly.vertices, space, measure)
+
+
+def build(measure: Measure, space: FiniteProbSpace) -> RiskEnvelope:
+    """The envelope of `measure` on `space`, made by the builder of its kind."""
+    if measure.kind == "mad":
+        return build_mad(space)
+    if measure.kind == "cvar":
+        return build_cvar(space, measure.alpha)
+    if measure.kind == "custom":
+        return build_custom(space, measure.generators)
+    parts = [build(p, space) for p in measure.parts]
+    if measure.kind == "mix":
+        return mix(parts, measure.lambdas)
+    return max_combine(parts)
 
 
 def reject_non_finitely_generated(kind: str) -> None:

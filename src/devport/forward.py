@@ -20,7 +20,6 @@ from .errors import (
 )
 from .probspace import MarketModel, matrix_rank
 
-FACE_TOL = 1e-8
 ACTIVE_TOL = 1e-9
 
 

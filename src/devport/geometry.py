@@ -21,6 +21,7 @@ from .errors import (
     UnboundedFace,
     ValidationError,
 )
+from .probspace import independent_rows
 
 DEDUP_TOL = 1e-10
 FACE_DEDUP_TOL = 1e-8
@@ -37,6 +38,14 @@ class SteinerConfig:
     samples: int = DEFAULT_SAMPLES
     seed: int = 0
     method: str = "auto"  # "auto" (exact for hull dim <= 2) or "montecarlo"
+
+    def __post_init__(self):
+        if self.samples < 2:
+            raise ValidationError("samples must be at least 2 for a standard error")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
+        if self.method not in ("auto", "montecarlo"):
+            raise ValidationError(f"unknown Steiner method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -126,35 +135,11 @@ def minkowski_sum(p1: VPolytope, p2: VPolytope) -> VPolytope:
     return extreme_filter(sums)
 
 
-def _independent_rows(a: np.ndarray, b: np.ndarray) -> list[int]:
-    """Indices of a maximal independent row set of A; checks [A|b] consistency."""
-    m, n = a.shape
-    work = np.hstack([a, b[:, None]]).astype(float)
-    norm = max(np.abs(work).max(), 1.0)
-    perm = list(range(m))
-    rank = 0
-    for col in range(n):
-        if rank == m:
-            break
-        piv = rank + int(np.argmax(np.abs(work[rank:, col])))
-        if abs(work[piv, col]) <= 1e-10 * norm:
-            continue
-        work[[rank, piv]] = work[[piv, rank]]
-        perm[rank], perm[piv] = perm[piv], perm[rank]
-        factors = work[rank + 1 :, col] / work[rank, col]
-        work[rank + 1 :] -= np.outer(factors, work[rank])
-        rank += 1
-    # Dependent rows must have vanished entirely, including the b column.
-    if rank < m and np.max(np.abs(work[rank:])) > 1e-8 * norm:
-        raise EmptyIntersection("inconsistent equality system")
-    return sorted(perm[:rank])
-
-
 def _basic_feasible_solutions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Vertices of {z >= 0 : A z = b} by basic-solution enumeration."""
     m, n = a.shape
     norm = max(np.abs(a).max(), np.abs(b).max(initial=0.0), 1.0)
-    rows = _independent_rows(a, b)
+    rows = independent_rows(a, b)
     a_red = a[rows]
     b_red = b[rows]
     r = a_red.shape[0]
@@ -454,7 +439,7 @@ def enumerate_face_vertices(
     # Keep an independent equality subsystem; vertices add enough active
     # inequality rows to reach a square nonsingular system.
     if a_eq.size:
-        eq_rows = _independent_rows(a_eq, b_eq)
+        eq_rows = independent_rows(a_eq, b_eq)
         a_eq_red = a_eq[eq_rows]
         b_eq_red = b_eq[eq_rows]
     else:

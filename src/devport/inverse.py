@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forward, geometry
-from .envelope import RiskEnvelope, evaluate, risk_identifiers
+from .envelope import Measure, RiskEnvelope, evaluate, risk_identifiers
 from .errors import (
     DichotomyViolation,
     DimensionMismatch,
@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
     ZeroRiskPortfolio,
 )
-from .probspace import FiniteProbSpace, MarketModel, RandomVariable
+from .probspace import FiniteProbSpace, MarketModel, RandomVariable, matrix_rank
 
 IDENT_TOL = 1e-8
 TIE_REL_TOL = 1e-9
@@ -100,10 +100,12 @@ def _cvar_identifier_equalized(
 def robust_selector(
     env: RiskEnvelope, x, config: geometry.SteinerConfig | None = None
 ) -> RandomVariable:
-    """The unique robust selector: a closed form when the provenance allows,
-    otherwise the Steiner point of the identifier set."""
+    """The unique robust selector: a closed form when the measure's recipe
+    has one, otherwise the Steiner point of the identifier set."""
     values = x.values if isinstance(x, RandomVariable) else np.asarray(x, dtype=float)
-    q = _robust_values(env, values, config)
+    q = _closed_form(env.measure, env.space, values)
+    if q is None:
+        q, _err = geometry.steiner_point(risk_identifiers(env, values).polytope, config)
     target = evaluate(env, values)
     got = float(env.space.expectation(values)) + float(
         env.space.expectation(-values * q)
@@ -115,34 +117,26 @@ def robust_selector(
     return RandomVariable(q, env.space)
 
 
-def _robust_values(env, values, config) -> np.ndarray:
-    space = env.space
-    kind = env.kind
-    if kind == "mad":
+def _closed_form(measure: Measure, space: FiniteProbSpace, values) -> np.ndarray | None:
+    """Robust selector of a MAD, CVaR or mix recipe; None for the others."""
+    if measure.kind == "mad":
         centered = values - float(space.expectation(values))
         tol = 1e-12 * (1.0 + float(np.max(np.abs(values))))
         z = np.where(np.abs(centered) <= tol, 0.0, np.sign(centered))
         return 1.0 + float(space.expectation(z)) - z
-    if kind == "cvar":
-        return _cvar_identifier_equalized(space, values, env.meta["alpha"])
-    if kind == "mixed_cvar":
-        out = np.zeros(values.size)
-        for a, l in zip(env.meta["alphas"], env.meta["lambdas"]):
-            out += l * _cvar_identifier_equalized(space, values, a)
-        return out
-    if kind == "mix":
-        lambdas = env.meta["lambdas"]
-        out = np.full(values.size, 1.0 - sum(lambdas))
-        for part, l in zip(env.meta["parts"], lambdas):
-            out += l * _robust_values(part, values, config)
-        return out
-    if kind == "scale":
-        lam = env.meta["lambda"]
-        inner = _robust_values(env.meta["inner"], values, config)
-        return (1.0 - lam) + lam * inner
-    ident = risk_identifiers(env, values)
-    point, _err = geometry.steiner_point(ident.polytope, config)
-    return point
+    if measure.kind == "cvar":
+        return _cvar_identifier_equalized(space, values, measure.alpha)
+    if measure.kind != "mix":
+        return None
+    # The Steiner point is Minkowski additive, so a mix selects the same
+    # mixture of its parts' selectors.
+    out = np.full(values.size, 1.0 - sum(measure.lambdas))
+    for part, lam in zip(measure.parts, measure.lambdas):
+        q = _closed_form(part, space, values)
+        if q is None:
+            return None
+        out += lam * q
+    return out
 
 
 def law_invariant_selector(env: RiskEnvelope, x) -> RandomVariable:
@@ -239,7 +233,7 @@ def verify_dichotomy(
     }
     if len(inv.active_indices) == 1:
         report["branch"] = "unique-inverse"
-        face_dim = _affine_dim(solved.optimal_set.vertices)
+        face_dim = geometry._affine_hull(solved.optimal_set.vertices)[1].shape[1]
         report["forward_face_dim"] = face_dim
         if inv.polytope.n_vertices != 1:
             raise DichotomyViolation("one active generator but inverse set not a point")
@@ -256,9 +250,11 @@ def verify_dichotomy(
             )
             @ weighted.T
         )
-        span = int(np.linalg.matrix_rank(d_active))
+        span = matrix_rank(d_active)
         report["active_span"] = span
-        report["inverse_affine_dim"] = _affine_dim(inv.polytope.vertices)
+        report["inverse_affine_dim"] = (
+            geometry._affine_hull(inv.polytope.vertices)[1].shape[1]
+        )
         if span < n:
             raise DichotomyViolation(
                 "unique forward optimum but active generators do not span"
@@ -275,14 +271,6 @@ def verify_dichotomy(
     else:
         report["branch"] = "degenerate-both"
     return report
-
-
-def _affine_dim(vertices: np.ndarray) -> int:
-    if vertices.shape[0] == 1:
-        return 0
-    diff = vertices - vertices[0]
-    s = np.linalg.svd(diff, compute_uv=False)
-    return int(np.sum(s > 1e-8 * max(s[0], 1.0)))
 
 
 def concave_order_leq(x, y, space: FiniteProbSpace) -> bool:

@@ -273,33 +273,3 @@ def feasible(
             n_vars = np.asarray(a_eq, dtype=float).shape[-1]
     lp = LinearProgram.build(np.zeros(n_vars), a_ub, b_ub, a_eq, b_eq)
     return solve(lp).optimal
-
-
-def always_active_rows(lp: LinearProgram, sol: LpSolution) -> list[int]:
-    """Inequality rows binding at every optimum.
-
-    A strictly negative dual certifies the row; the rest are settled by
-    maximizing the row's slack over the optimal face.
-    """
-    if not sol.optimal:
-        raise ValidationError("need an Optimal solution")
-    out = []
-    a_eq = np.vstack([lp.a_eq, lp.c[None, :]])
-    b_eq = np.concatenate([lp.b_eq, [sol.value]])
-    for i in range(lp.b_ub.size):
-        if sol.duals_ub[i] < -1e-7:
-            out.append(i)
-            continue
-        if i not in sol.active_rows:
-            continue
-        # Maximize the slack b_i - A_i x over the face: minimize A_i x.
-        probe = LinearProgram.build(
-            lp.a_ub[i], a_ub=lp.a_ub, b_ub=lp.b_ub, a_eq=a_eq, b_eq=b_eq
-        )
-        res = solve(probe)
-        if not res.optimal:
-            continue  # slack unbounded above on the face: not always active
-        max_slack = lp.b_ub[i] - res.value
-        if max_slack <= FEAS_TOL * (1.0 + abs(lp.b_ub[i])):
-            out.append(i)
-    return out

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import (
     AssumptionViolation,
     DimensionMismatch,
+    EmptyIntersection,
     ParseError,
     RankDeficient,
     ValidationError,
@@ -21,6 +22,7 @@ from .errors import (
 WEIGHT_TOL = 1e-12
 CENTER_TOL = 1e-10
 PIVOT_TOL = 1e-10
+CONSISTENCY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -115,33 +117,43 @@ def expectation(space: FiniteProbSpace, rv) -> float:
     return float(space.expectation(values))
 
 
-def matrix_rank(a: np.ndarray, tol: float = PIVOT_TOL) -> int:
-    """Row rank by Gaussian elimination with partial pivoting.
+def independent_rows(a, b=None, tol: float = PIVOT_TOL) -> list[int]:
+    """Indices of a maximal independent row set of A, by Gaussian
+    elimination with partial pivoting.
 
-    The pivot threshold is `tol` relative to the largest row norm of the
-    input, so the result is scale invariant.
+    Pivots count as zero at or below `tol` relative to the largest row norm
+    of [A|b], so the result is scale invariant. With a right-hand side b
+    the system A z = b must be consistent: the rows that do not enter the
+    basis must vanish, b column included, else EmptyIntersection.
     """
-    a = np.array(a, dtype=float)
-    if a.size == 0:
-        return 0
-    scale = float(np.max(np.linalg.norm(a, axis=1)))
-    if scale == 0.0:
-        return 0
-    threshold = tol * scale
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    work = a.copy() if b is None else np.hstack([a, np.reshape(b, (-1, 1))])
+    if work.size == 0:
+        return []
+    scale = float(np.max(np.linalg.norm(work, axis=1)))
     m, n = a.shape
+    perm = list(range(m))
     rank = 0
-    col = 0
-    while rank < m and col < n:
-        pivot_row = rank + int(np.argmax(np.abs(a[rank:, col])))
-        if abs(a[pivot_row, col]) <= threshold:
-            col += 1
+    for col in range(n):
+        if rank == m:
+            break
+        pivot_row = rank + int(np.argmax(np.abs(work[rank:, col])))
+        if abs(work[pivot_row, col]) <= tol * scale:
             continue
-        a[[rank, pivot_row]] = a[[pivot_row, rank]]
-        factors = a[rank + 1 :, col] / a[rank, col]
-        a[rank + 1 :] -= np.outer(factors, a[rank])
+        work[[rank, pivot_row]] = work[[pivot_row, rank]]
+        perm[rank], perm[pivot_row] = perm[pivot_row], perm[rank]
+        factors = work[rank + 1 :, col] / work[rank, col]
+        work[rank + 1 :] -= np.outer(factors, work[rank])
         rank += 1
-        col += 1
-    return rank
+    residual = np.max(np.abs(work[rank:]), initial=0.0)
+    if b is not None and residual > CONSISTENCY_TOL * scale:
+        raise EmptyIntersection("inconsistent equality system")
+    return sorted(perm[:rank])
+
+
+def matrix_rank(a: np.ndarray, tol: float = PIVOT_TOL) -> int:
+    """Row rank of A; see `independent_rows`."""
+    return len(independent_rows(a, tol=tol))
 
 
 @dataclass(frozen=True)

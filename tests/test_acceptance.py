@@ -1,8 +1,9 @@
 """End-to-end acceptance suite.
 
-Each test covers one acceptance criterion and prints a single PASS/FAIL
-line (run pytest with -s to see them). Golden numbers are checked at
-1e-9 absolute unless noted.
+The paper's worked examples (cooperative investment, MAD and CVaR markets,
+Black-Litterman) are the golden table of `devport paper-examples`, run
+here one case per test. Each other test covers one acceptance criterion
+and prints a single PASS/FAIL line (run pytest with -s to see them).
 """
 import numpy as np
 import pytest
@@ -12,31 +13,29 @@ from devport import (
     MarketModel,
     SteinerConfig,
     VPolytope,
-    bl_pipeline,
     build_cvar,
     build_custom,
     build_mad,
     capital_allocation,
     deviation_function,
     evaluate,
-    inverse_solution_set,
     law_invariant_selector,
     minkowski_sum,
     portfolio_risk_generators,
     risk_identifiers,
-    robust_mu,
     robust_selector,
-    scale,
-    solve_cooperative,
     solve_forward,
-    solve_individual,
     steiner_point,
     verify_dichotomy,
 )
+from devport.cli import _golden_cases
 from devport.errors import ZeroRiskPortfolio
 from devport.geometry import contains, extreme_filter
 from devport import lp
 from math import comb
+
+
+GOLDEN = _golden_cases()
 
 
 def _report(name):
@@ -45,125 +44,10 @@ def _report(name):
     print(f"PASS  {name}")
 
 
-def _vertex_set(got, expected, tol):
-    got = np.asarray(got, float)
-    expected = np.asarray(expected, float)
-    assert got.shape[0] == expected.shape[0], (
-        f"vertex count {got.shape[0]} != {expected.shape[0]}"
-    )
-    used = set()
-    for e in expected:
-        hit = next(
-            (i for i, g in enumerate(got) if i not in used and np.max(np.abs(g - e)) <= tol),
-            None,
-        )
-        assert hit is not None, f"missing vertex {e}"
-        used.add(hit)
-
-
-def _perms(*vals):
-    import itertools
-
-    return np.unique(np.asarray(list(itertools.permutations(vals))), axis=0)
-
-
-def test_acceptance_01_cooperative_investment_golden():
-    space = FiniteProbSpace.uniform(3)
-    returns = np.array([[-1.0, 1.0, 1.0], [-1.0, -1.0, 7.0]])
-    env1 = build_cvar(space, 2 / 3)
-    env2 = scale(build_mad(space), 0.5)
-    _x1, u1 = solve_individual(returns, space, env1)
-    x2, u2 = solve_individual(returns, space, env2)
-    assert abs(u1 - 0.0) <= 1e-9
-    assert abs(u2 - 1 / 15) <= 1e-9
-    assert np.max(np.abs(x2 - np.array([0.8, 0.2]))) <= 1e-9
-    sol = solve_cooperative(returns, space, [env1, env2])
-    assert np.max(np.abs(sol.weights - np.array([0.8, 0.2]))) <= 1e-9
-    assert abs(sol.total_utility - 2 / 15) <= 1e-9
-    _vertex_set(
-        sol.coalition_envelope.generators,
-        np.vstack([_perms(1.5, 1.0, 0.5), _perms(4 / 3, 4 / 3, 1 / 3)]),
-        1e-9,
-    )
-    assert np.max(np.abs(sol.critical_identifier - np.array([17 / 12, 7 / 6, 5 / 12]))) <= 1e-9
-    assert abs(sol.side_payments[0] - (-1 / 15)) <= 1e-9
-    assert np.max(np.abs(sol.final_shares[0] - np.full(3, 1 / 15))) <= 1e-9
-    assert np.max(np.abs(sol.final_shares[1] - np.array([-31 / 15, 17 / 15, 13 / 3]))) <= 1e-9
-    _report("01 cooperative-investment-golden")
-
-
-def test_acceptance_02_mad_market_golden():
-    space = FiniteProbSpace.uniform(3)
-    market = MarketModel(
-        np.array([[-1.0, -1.0, 2.0], [-2.0, 1.0, 1.0]]),
-        np.array([0.4, 0.6]),
-        0.0,
-        0.5,
-        space,
-    )
-    env = build_mad(space)
-    sol = solve_forward(market, env, 0.5)
-    assert sol.unique
-    assert np.max(np.abs(sol.x - np.array([0.5, 0.5]))) <= 1e-9
-    assert abs(sol.value - 1.0) <= 1e-9
-    inv = inverse_solution_set(market, env, [0.5, 0.5], 0.5)
-    # The segment mu(z) = (0.5 - z/6, 0.5 + z/6), z in [-1, 1].
-    _vertex_set(inv.polytope.vertices, [[1 / 3, 2 / 3], [2 / 3, 1 / 3]], 1e-9)
-    mu = robust_mu(market, env, [0.5, 0.5], 0.5)
-    assert np.max(np.abs(mu - np.array([0.5, 0.5]))) <= 1e-9
-    _report("02 mad-market-golden")
-
-
-def test_acceptance_03_cvar_market_golden():
-    space = FiniteProbSpace.uniform(3)
-    market = MarketModel(
-        np.array([[-1.0, 0.0, 1.0], [0.0, -1.0, 1.0]]),
-        np.array([1 / 3, 2 / 3]),
-        0.0,
-        0.5,
-        space,
-    )
-    env = build_cvar(space, 0.05)
-    sol = solve_forward(market, env, 0.5)
-    assert np.max(np.abs(sol.x - np.array([0.5, 0.5]))) <= 1e-9
-    # Identifier family Q = (q, 3-q, 0): both endpoints are identifiers.
-    x_star = market.portfolio_return(sol.x).values
-    ident = risk_identifiers(env, x_star)
-    _vertex_set(ident.polytope.vertices, [[3.0, 0.0, 0.0], [0.0, 3.0, 0.0]], 1e-9)
-    inv = inverse_solution_set(market, env, [0.5, 0.5], 0.5)
-    _vertex_set(inv.polytope.vertices, [[1.0, 0.0], [0.0, 1.0]], 1e-9)
-    q = robust_selector(env, x_star).values
-    assert np.max(np.abs(q - np.array([1.5, 1.5, 0.0]))) <= 1e-9
-    mu = robust_mu(market, env, [0.5, 0.5], 0.5)
-    assert np.max(np.abs(mu - np.array([0.5, 0.5]))) <= 1e-9
-    _report("03 cvar-market-golden")
-
-
-def test_acceptance_04_black_litterman_golden():
-    space = FiniteProbSpace.uniform(3)
-    market = MarketModel(
-        np.array([[-1.0, 0.0, 1.0], [0.0, -1.0, 1.0]]),
-        np.array([1 / 3, 2 / 3]),
-        0.0,
-        0.4,
-        space,
-    )
-    env = build_cvar(space, 0.05)
-    gens = portfolio_risk_generators(market, env)
-    _vertex_set(gens.vectors, [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], 1e-9)
-    inv = inverse_solution_set(market, env, [0.2, 0.8], 0.4)
-    assert inv.polytope.n_vertices == 1
-    assert np.max(np.abs(inv.polytope.vertices[0] - np.array([0.0, 0.5]))) <= 1e-9
-    res = bl_pipeline(market, env, [0.2, 0.8], 0.4)
-    assert not res.solution.unique
-    _vertex_set(res.solution.optimal_set.vertices, [[-1.6, 0.8], [0.8, 0.8]], 1e-8)
-    res2 = bl_pipeline(market, env, [0.2, 0.8], 0.4, posterior_weights=[0.25, 0.25, 0.5])
-    assert res2.solution.unique
-    assert np.max(np.abs(res2.mu_post - np.array([0.25, 0.75]))) <= 1e-9
-    assert np.max(np.abs(res2.solution.x - np.array([0.4, 0.4]))) <= 1e-9
-    active = res2.solution.generators.vectors[list(res2.solution.active_generators)]
-    _vertex_set(active, [[1.25, 0.25], [0.25, 1.25]], 1e-9)
-    _report("04 black-litterman-golden")
+@pytest.mark.parametrize("name, case", GOLDEN, ids=[name for name, _case in GOLDEN])
+def test_paper_example(name, case):
+    ok, detail = case()
+    assert ok, f"{name}: {detail}"
 
 
 def test_acceptance_05_envelope_cardinalities():

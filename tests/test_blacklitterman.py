@@ -125,7 +125,9 @@ def test_view_pipeline_consistency():
     shift = market.centered_returns @ res.posterior_space.weights
     assert np.allclose(res.mu_post, res.mu_eq + shift, atol=1e-12)
     assert res.posterior_envelope.space.same_as(res.posterior_space)
-    assert res.posterior_envelope.kind == "cvar"
+    direct = build_cvar(res.posterior_space, 0.05)
+    assert res.posterior_envelope.measure == direct.measure
+    assert np.array_equal(res.posterior_envelope.generators, direct.generators)
 
 
 def test_rebuild_composite_envelope():
@@ -134,8 +136,10 @@ def test_rebuild_composite_envelope():
     views = Views([0.0, 1.0], [0.6], np.array([[0.5]]))
     market = _market()
     res = bl_pipeline(market, env, [0.5, 0.5], 0.4, views=views)
-    assert res.posterior_envelope.kind == "scale"
     assert res.posterior_envelope.space.same_as(res.posterior_space)
+    direct = scale(build_mad(res.posterior_space), 0.5)
+    assert res.posterior_envelope.measure == env.measure == direct.measure
+    assert np.array_equal(res.posterior_envelope.generators, direct.generators)
 
 
 def test_custom_envelope_cannot_move_spaces():

@@ -143,6 +143,39 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert out["error"]["type"] == "Unsupported"
 
 
+SIMPLEX_3D = "[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]"
+
+
+@pytest.mark.parametrize(
+    "measure, flags",
+    [
+        ({"kind": "cvar", "alpha": "abc"}, []),
+        ({"kind": "max", "parts": 5}, []),
+        ({"kind": "mix", "parts": []}, []),
+        (None, ["--samples", "-3"]),
+        (None, ["--seed", "-1"]),
+        (None, ["--samples", "1"]),
+    ],
+    ids=[
+        "alpha-abc", "parts-5", "mix-no-parts", "samples-neg", "seed-neg", "samples-1"
+    ],
+)
+def test_bad_input_is_validation_error(tmp_path, capsys, measure, flags):
+    if measure is None:
+        argv = ["steiner", "--vertices", SIMPLEX_3D, *flags]
+    else:
+        cfg = {
+            "schema": 1,
+            "space": {"uniform": 3},
+            "measure": measure,
+            "x": [1.0, 0.0, 2.0],
+        }
+        argv = ["selector", "--config", _write(tmp_path, "bad.json", cfg)]
+    code, out = _run_json(capsys, argv)
+    assert code == 1
+    assert out["error"]["type"] == "ValidationError"
+
+
 def test_missing_key_is_validation_error(tmp_path, capsys):
     cfg = dict(MAD_MARKET, delta=0.5)  # no measure
     code, out = _run_json(capsys, ["forward", "--config", _write(tmp_path, "mk.json", cfg)])

@@ -83,8 +83,12 @@ def test_cvar_general_weights():
 
 
 def test_cvar_alpha_range():
-    with pytest.raises(ValidationError):
-        build_cvar(FiniteProbSpace.uniform(3), 1.5)
+    space = FiniteProbSpace.uniform(3)
+    for alpha in (1.5, 0.0):
+        with pytest.raises(ValidationError):
+            build_cvar(space, alpha)
+        with pytest.raises(ValidationError):
+            build_mixed_cvar(space, [alpha], [1.0])
 
 
 def test_mixed_cvar_single_term():
@@ -231,4 +235,5 @@ def test_custom_filtering_reported():
     space = FiniteProbSpace.uniform(2)
     env = build_custom(space, [[0.0, 2.0], [2.0, 0.0], [1.0, 1.0]])
     assert env.n_generators == 2
-    assert env.meta["filtered_out"] == 1
+    # The recipe keeps every given generator, the interior one included.
+    assert len(env.measure.generators) - env.n_generators == 1

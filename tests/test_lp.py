@@ -96,19 +96,6 @@ def test_duals_against_scipy():
         assert dual_val == pytest.approx(sol.value, abs=1e-7)
 
 
-def test_always_active_rows():
-    # min x1+x2 over the triangle x1,x2 >= 0, x1+x2 >= 1: the diagonal row
-    # binds everywhere, the sign rows only at the corners.
-    problem = lp.LinearProgram.build(
-        [1.0, 1.0],
-        a_ub=[[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0]],
-        b_ub=[0.0, 0.0, -1.0],
-    )
-    sol = lp.solve(problem)
-    rows = lp.always_active_rows(problem, sol)
-    assert rows == [2]
-
-
 def test_degenerate_duplicate_rows():
     problem = lp.LinearProgram.build(
         [1.0],
