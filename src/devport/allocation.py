@@ -15,6 +15,7 @@ import numpy as np
 from . import geometry, lp
 from .envelope import Measure, RiskEnvelope, risk_identifiers
 from .errors import (
+    DimensionMismatch,
     EmptyIntersection,
     InternalCheckError,
     SpaceMismatch,
@@ -78,6 +79,8 @@ def capital_allocation(
         p.values if isinstance(p, RandomVariable) else np.asarray(p, dtype=float)
         for p in subportfolios
     ]
+    if any(p.shape != (risk.dim,) for p in parts):
+        raise DimensionMismatch(f"every sub-portfolio needs {risk.dim} values")
     total = np.sum(parts, axis=0)
     grad = geometry.extended_gradient(risk, total, config)
     contributions = np.asarray([p @ grad for p in parts])

@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
     ZeroRiskPortfolio,
 )
-from .probspace import FiniteProbSpace, MarketModel, center_market, ingest_csv
+from .probspace import FiniteProbSpace, MarketModel, as_floats, center_market, ingest_csv
 
 VALIDATION_EXIT = 1
 NUMERICAL_EXIT = 2
@@ -62,19 +62,33 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _space_from_config(cfg) -> FiniteProbSpace | None:
+def _number(value, what: str) -> float:
+    value = as_floats(value, what)
+    if value.ndim != 0:
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, what: str) -> int:
+    number = _number(value, what)
+    if not number.is_integer():
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _space_from_config(cfg) -> FiniteProbSpace:
     spec = cfg.get("space")
-    if spec is None:
-        return None
+    if not isinstance(spec, dict):
+        raise ValidationError('config needs a "space" object')
     if "uniform" in spec:
-        return FiniteProbSpace.uniform(int(spec["uniform"]))
+        return FiniteProbSpace.uniform(_integer(spec["uniform"], "uniform"))
     if "weights" in spec:
-        return FiniteProbSpace(np.asarray(spec["weights"], dtype=float))
+        return FiniteProbSpace(as_floats(spec["weights"], "weights"))
     raise ValidationError('space needs "uniform" or "weights"')
 
 
 def _market_from_config(cfg):
-    space = _space_from_config(cfg)
+    space = None if cfg.get("space") is None else _space_from_config(cfg)
     returns = cfg.get("returns")
     if returns is None:
         raise ValidationError("config needs a returns source")
@@ -85,26 +99,20 @@ def _market_from_config(cfg):
         elif space.n_scenarios != csv_space.n_scenarios:
             raise ValidationError("space and CSV scenario counts disagree")
     else:
-        raw = np.asarray(returns, dtype=float)
+        raw = as_floats(returns, "returns")
         if space is None:
             raise ValidationError("inline returns need an explicit space")
-    r0 = float(cfg.get("r0", 0.0))
-    delta = float(cfg.get("delta", cfg.get("delta_m", 0.0)))
+    r0 = _number(cfg.get("r0", 0.0), "r0")
+    delta = _number(cfg.get("delta", cfg.get("delta_m", 0.0)), "delta")
     if cfg.get("centered", False):
         if "mu" not in cfg:
             raise ValidationError("centered returns need an explicit mu")
-        market = MarketModel(
-            raw, np.asarray(cfg["mu"], dtype=float), r0, delta, space
-        )
+        market = MarketModel(raw, as_floats(cfg["mu"], "mu"), r0, delta, space)
     else:
         market = center_market(raw, space, r0, delta)
         if "mu" in cfg:
             market = MarketModel(
-                market.centered_returns,
-                np.asarray(cfg["mu"], dtype=float),
-                r0,
-                delta,
-                space,
+                market.centered_returns, as_floats(cfg["mu"], "mu"), r0, delta, space
             )
     return market
 
@@ -146,18 +154,16 @@ def _measure_from_spec(spec) -> envelope.Measure:
 
 
 def _steiner_config(cfg) -> geometry.SteinerConfig:
-    try:
-        samples = int(cfg.get("samples", geometry.DEFAULT_SAMPLES))
-        seed = int(cfg.get("seed", 0))
-    except (TypeError, ValueError):
-        raise ValidationError("samples and seed must be integers") from None
-    return geometry.SteinerConfig(samples=samples, seed=seed)
+    return geometry.SteinerConfig(
+        samples=_integer(cfg.get("samples", geometry.DEFAULT_SAMPLES), "samples"),
+        seed=_integer(cfg.get("seed", 0), "seed"),
+    )
 
 
 def _cmd_forward(cfg) -> dict:
     market = _market_from_config(cfg)
     env = envelope.build(_measure_from_spec(cfg["measure"]), market.space)
-    sol = forward.solve_forward(market, env, float(cfg["delta"]))
+    sol = forward.solve_forward(market, env, _number(cfg["delta"], "delta"))
     report = forward.diagnose_uniqueness(sol, market.mu)
     return {
         "value": sol.value,
@@ -172,8 +178,8 @@ def _cmd_forward(cfg) -> dict:
 def _cmd_inverse(cfg) -> dict:
     market = _market_from_config(cfg)
     env = envelope.build(_measure_from_spec(cfg["measure"]), market.space)
-    x_m = np.asarray(cfg["x_m"], dtype=float)
-    delta_m = float(cfg["delta_m"])
+    x_m = as_floats(cfg["x_m"], "x_m")
+    delta_m = _number(cfg["delta_m"], "delta_m")
     inv = inverse.inverse_solution_set(market, env, x_m, delta_m)
     mu = inverse.robust_mu(market, env, x_m, delta_m, _steiner_config(cfg))
     return {
@@ -186,10 +192,8 @@ def _cmd_inverse(cfg) -> dict:
 
 def _cmd_selector(cfg) -> dict:
     space = _space_from_config(cfg)
-    if space is None:
-        raise ValidationError("selector needs a space")
     env = envelope.build(_measure_from_spec(cfg["measure"]), space)
-    x = np.asarray(cfg["x"], dtype=float)
+    x = as_floats(cfg["x"], "x")
     kind = cfg.get("selector", "robust")
     if kind == "robust":
         q = inverse.robust_selector(env, x, _steiner_config(cfg)).values
@@ -201,7 +205,7 @@ def _cmd_selector(cfg) -> dict:
 
 
 def _cmd_steiner(cfg) -> dict:
-    verts = np.asarray(cfg["vertices"], dtype=float)
+    verts = as_floats(cfg["vertices"], "vertices")
     point, err = geometry.steiner_point(
         geometry.VPolytope(verts), _steiner_config(cfg)
     )
@@ -210,12 +214,12 @@ def _cmd_steiner(cfg) -> dict:
 
 def _cmd_alloc(cfg) -> dict:
     space = _space_from_config(cfg)
-    if space is None:
-        raise ValidationError("alloc needs a space")
     env = envelope.build(_measure_from_spec(cfg["measure"]), space)
     risk = allocation.deviation_function(env)
-    parts = [np.asarray(p, dtype=float) for p in cfg["subportfolios"]]
-    res = allocation.capital_allocation(risk, parts, _steiner_config(cfg))
+    parts = as_floats(cfg["subportfolios"], "subportfolios")
+    if parts.ndim != 2:
+        raise ValidationError('"subportfolios" must be a list of payoff vectors')
+    res = allocation.capital_allocation(risk, list(parts), _steiner_config(cfg))
     return {
         "contributions": res.contributions.tolist(),
         "total_risk": res.total_risk,
@@ -225,12 +229,13 @@ def _cmd_alloc(cfg) -> dict:
 
 def _cmd_coop(cfg) -> dict:
     space = _space_from_config(cfg)
-    if space is None:
-        raise ValidationError("coop needs a space")
-    returns = np.asarray(cfg["returns"], dtype=float)
-    envs = [envelope.build(_measure_from_spec(s), space) for s in cfg["measures"]]
+    returns = as_floats(cfg["returns"], "returns")
+    specs = _nonempty_list(cfg, "measures")
+    envs = [envelope.build(_measure_from_spec(s), space) for s in specs]
+    capital = cfg.get("capital")
+    capital = None if capital is None else _number(capital, "capital")
     sol = allocation.solve_cooperative(
-        returns, space, envs, cfg.get("capital"), _steiner_config(cfg)
+        returns, space, envs, capital, _steiner_config(cfg)
     )
     return {
         "weights": sol.weights.tolist(),
@@ -252,19 +257,21 @@ def _cmd_bl(cfg) -> dict:
     override = None
     if "views" in cfg:
         v = cfg["views"]
+        if not isinstance(v, dict):
+            raise ValidationError('"views" must be an object')
         if "posterior_weights" in v:
-            override = np.asarray(v["posterior_weights"], dtype=float)
+            override = as_floats(v["posterior_weights"], "posterior_weights")
         else:
             views = blacklitterman.Views(
-                np.asarray(v["pick"], dtype=float),
-                np.asarray(v["values"], dtype=float),
-                np.asarray(v["noise_cov"], dtype=float),
+                as_floats(v["pick"], "pick"),
+                as_floats(v["values"], "values"),
+                as_floats(v["noise_cov"], "noise_cov"),
             )
     res = blacklitterman.bl_pipeline(
         market,
         env,
-        np.asarray(cfg["x_m"], dtype=float),
-        float(cfg["delta_m"]),
+        as_floats(cfg["x_m"], "x_m"),
+        _number(cfg["delta_m"], "delta_m"),
         views=views,
         posterior_weights=override,
         config=_steiner_config(cfg),

@@ -24,7 +24,7 @@ from .errors import (
     Unsupported,
     ValidationError,
 )
-from .probspace import FiniteProbSpace, RandomVariable
+from .probspace import FiniteProbSpace, RandomVariable, as_floats
 
 MEAN_TOL = 1e-10
 GEN_DEDUP_TOL = 1e-10
@@ -32,13 +32,6 @@ ACTIVITY_TOL = 1e-9
 MAD_SCENARIO_GUARD = 20
 CVAR_CANDIDATE_GUARD = 10**6
 MEASURE_KINDS = ("mad", "cvar", "mix", "max", "custom")
-
-
-def _floats(values, what: str) -> np.ndarray:
-    try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be numeric, got {values!r}") from None
 
 
 @dataclass(frozen=True)
@@ -61,7 +54,7 @@ class Measure:
         if self.kind not in MEASURE_KINDS:
             raise ValidationError(f"unknown measure kind {self.kind!r}")
         if self.kind == "cvar":
-            alpha = _floats(self.alpha, "alpha")
+            alpha = as_floats(self.alpha, "alpha")
             if alpha.ndim != 0 or not 0.0 < alpha < 1.0:
                 raise ValidationError(f"alpha must lie in (0,1), got {self.alpha!r}")
             object.__setattr__(self, "alpha", float(alpha))
@@ -70,14 +63,14 @@ class Measure:
                 raise ValidationError(f"a {self.kind} measure needs at least one part")
             object.__setattr__(self, "parts", tuple(self.parts))
         if self.kind == "mix":
-            lambdas = _floats(self.lambdas, "mixture weights")
+            lambdas = as_floats(self.lambdas, "mixture weights")
             if lambdas.shape != (len(self.parts),):
                 raise ValidationError("one weight per part required")
             if not np.all(lambdas > 0):
                 raise ValidationError("mixture weights must be positive")
             object.__setattr__(self, "lambdas", tuple(lambdas.tolist()))
         if self.kind == "custom":
-            g = np.atleast_2d(_floats(self.generators, "generators"))
+            g = np.atleast_2d(as_floats(self.generators, "generators"))
             if g.ndim != 2 or g.size == 0:
                 raise ValidationError("custom generators must be a non-empty matrix")
             object.__setattr__(self, "generators", tuple(map(tuple, g.tolist())))
@@ -91,7 +84,10 @@ class Measure:
 
 @dataclass(frozen=True)
 class RiskEnvelope:
-    """Extreme risk generators of a finitely generated deviation measure."""
+    """Extreme risk generators of a finitely generated deviation measure,
+    made extreme by their builder and never filtered again. MAD needs no
+    filter: for Z's positive set S, c with c.1 = 0, c < 0 on S and c > 0
+    off S maximises c.Q at Z alone, on any weights."""
 
     generators: np.ndarray  # one generator per row
     space: FiniteProbSpace
@@ -141,7 +137,7 @@ def build_mad(space: FiniteProbSpace) -> RiskEnvelope:
     """Mean-absolute-deviation envelope: Q = 1 + E[Z] - Z over sign vectors.
 
     Z ranges over {-1,+1}^N with a non-empty proper positive set, giving
-    2^N - 2 candidate generators.
+    2^N - 2 generators, all extreme for any weights (see `RiskEnvelope`).
     """
     n = space.n_scenarios
     if n > MAD_SCENARIO_GUARD:
@@ -154,10 +150,7 @@ def build_mad(space: FiniteProbSpace) -> RiskEnvelope:
         if np.all(z > 0) or np.all(z < 0):
             continue  # improper positive set collapses to the constant 1
         gens.append(1.0 + float(space.expectation(z)) - z)
-    gens = np.asarray(gens)
-    if not space.is_uniform:
-        gens = geometry.extreme_filter(gens, GEN_DEDUP_TOL).vertices
-    return RiskEnvelope(gens, space, Measure("mad"))
+    return RiskEnvelope(np.asarray(gens), space, Measure("mad"))
 
 
 def _cvar_vertices(space: FiniteProbSpace, alpha: float) -> np.ndarray:
@@ -219,18 +212,10 @@ def build_cvar(space: FiniteProbSpace, alpha: float) -> RiskEnvelope:
     return RiskEnvelope(_cvar_vertices(space, measure.alpha), space, measure)
 
 
-def _minkowski_generators(parts, lambdas) -> np.ndarray:
-    """Extreme points of sum(lambda_i * Q_i), built pairwise."""
-    acc = geometry.VPolytope(lambdas[0] * parts[0])
-    for lam, gens in zip(lambdas[1:], parts[1:]):
-        acc = geometry.minkowski_sum(acc, geometry.VPolytope(lam * gens))
-    return acc.vertices
-
-
 def mixed_cvar(alphas, lambdas) -> Measure:
     """Recipe of sum(lambda_i * CVaR(alpha_i)) with weights summing to 1."""
-    alphas = _floats(alphas, "alphas")
-    lambdas = _floats(lambdas, "mixture weights")
+    alphas = as_floats(alphas, "alphas")
+    lambdas = as_floats(lambdas, "mixture weights")
     if alphas.ndim != 1 or alphas.shape != lambdas.shape:
         raise ValidationError("need matching alpha and lambda lists")
     if abs(float(lambdas.sum()) - 1.0) > 1e-10:
@@ -258,17 +243,16 @@ def mix(envelopes, lambdas) -> RiskEnvelope:
     """Envelope of sum(lambda_i * D_i) for positive weights.
 
     When the weights do not sum to 1 the generators pick up the constant
-    shift (1 - sum lambda) so that E[Q] = 1 still holds. A single part is
-    only scaled and shifted, which keeps its generators extreme.
+    shift (1 - sum lambda) so that E[Q] = 1 still holds. The pairwise
+    Minkowski sums keep only extreme points, and the shift keeps them so.
     """
     space = _shared_space(envelopes)
     measure = Measure("mix", parts=tuple(e.measure for e in envelopes), lambdas=lambdas)
-    shift = 1.0 - sum(measure.lambdas)
-    gens = _minkowski_generators([e.generators for e in envelopes], measure.lambdas)
-    gens = gens + shift
-    if len(envelopes) > 1:
-        gens = geometry.extreme_filter(gens, GEN_DEDUP_TOL).vertices
-    return RiskEnvelope(gens, space, measure)
+    lams = measure.lambdas
+    acc = geometry.VPolytope(lams[0] * envelopes[0].generators)
+    for lam, e in zip(lams[1:], envelopes[1:]):
+        acc = geometry.minkowski_sum(acc, geometry.VPolytope(lam * e.generators))
+    return RiskEnvelope(acc.vertices + (1.0 - sum(lams)), space, measure)
 
 
 def max_combine(envelopes) -> RiskEnvelope:

@@ -50,7 +50,9 @@ class SteinerConfig:
 
 @dataclass(frozen=True)
 class VPolytope:
-    """Convex polytope given by its (extreme) vertices, one per row."""
+    """Convex polytope, the hull of its rows. Only `extreme_filter`,
+    `minkowski_sum`, `intersect` and `enumerate_face_vertices` promise
+    that every row is extreme."""
 
     vertices: np.ndarray
 
@@ -223,24 +225,19 @@ def _affine_hull(vertices: np.ndarray):
 
 
 def _polygon_steiner(points2: np.ndarray) -> np.ndarray:
-    """Exact Steiner point of a 2-d polygon with extreme vertices.
+    """Exact Steiner point of the hull of distinct planar points.
 
-    Each vertex is weighted by its normal-cone angle over 2π, which equals
-    the exterior turning angle.
+    Each point is weighted by its normal-cone angle over 2π: the largest
+    gap g between the directions to the other points, less π. A point that
+    is not extreme sees no gap above π and gets weight 0.
     """
-    center = points2.mean(axis=0)
-    order = np.argsort(np.arctan2(points2[:, 1] - center[1], points2[:, 0] - center[0]))
-    pts = points2[order]
-    m = pts.shape[0]
-    weights = np.zeros(m)
-    for i in range(m):
-        prev_edge = pts[i] - pts[i - 1]
-        next_edge = pts[(i + 1) % m] - pts[i]
-        cross = prev_edge[0] * next_edge[1] - prev_edge[1] * next_edge[0]
-        dot = prev_edge @ next_edge
-        weights[i] = np.arctan2(cross, dot)
-    weights = np.abs(weights) / (2.0 * np.pi)
-    return weights @ pts
+    m = points2.shape[0]
+    diff = points2[None, :, :] - points2[:, None, :]
+    angles = np.arctan2(diff[..., 1], diff[..., 0])[~np.eye(m, dtype=bool)]
+    angles = np.sort(angles.reshape(m, m - 1), axis=1)
+    gaps = np.diff(angles, axis=1, append=angles[:, :1] + 2.0 * np.pi)
+    weights = np.maximum(gaps.max(axis=1) - np.pi, 0.0) / (2.0 * np.pi)
+    return weights @ points2
 
 
 def _mc_steiner(coords: np.ndarray, config: SteinerConfig):
@@ -287,30 +284,26 @@ def steiner_point(
 
     Exact (zero error) for hull dimension <= 2: singleton, segment
     midpoint, polygon normal-cone-angle average. Higher dimensions use a
-    seeded Monte-Carlo average of support argmax vertices. The point is
-    intrinsic to the hull, so everything runs in affine-hull coordinates.
+    seeded Monte-Carlo average of support argmax points. Everything runs in
+    affine-hull coordinates, with no LP: a row that is not extreme gets
+    weight 0 in a polygon and is almost surely never the unique argmax.
     """
     config = config or SteinerConfig()
-    verts = _dedup(poly.vertices, DEDUP_TOL)
+    verts = poly.vertices
     d = verts.shape[1]
-    if verts.shape[0] == 1:
-        return verts[0].copy(), np.zeros(d)
     origin, basis = _affine_hull(verts)
     k = basis.shape[1]
-    coords = (verts - origin) @ basis
     if k == 0:
         return verts[0].copy(), np.zeros(d)
+    coords = _dedup((verts - origin) @ basis, DEDUP_TOL)
     exact = config.method != "montecarlo"
     if k == 1 and exact:
         t = coords[:, 0]
         mid = 0.5 * (t.min() + t.max())
         return origin + mid * basis[:, 0], np.zeros(d)
     if k == 2 and exact:
-        hull2 = extreme_filter(coords).vertices
-        s2 = _polygon_steiner(hull2)
-        return origin + basis @ s2, np.zeros(d)
-    hull_coords = extreme_filter(coords).vertices
-    mean_k, err_k = _mc_steiner(hull_coords, config)
+        return origin + basis @ _polygon_steiner(coords), np.zeros(d)
+    mean_k, err_k = _mc_steiner(coords, config)
     point = origin + basis @ mean_k
     err = np.abs(basis) @ err_k
     return point, err
@@ -348,12 +341,12 @@ class PwlConvexFunction:
         return float(np.max(self.gradients @ y + self.intercepts))
 
     def subdifferential(self, y) -> VPolytope:
-        """Convex hull of the gradients of the active pieces at y."""
+        """Subdifferential at y: the hull of the active pieces' gradients."""
         y = np.asarray(y, dtype=float)
         vals = self.gradients @ y + self.intercepts
         best = vals.max()
         active = vals >= best - ACTIVITY_TOL * (1.0 + abs(best))
-        return extreme_filter(self.gradients[active])
+        return VPolytope(self.gradients[active])
 
 
 def extended_gradient(

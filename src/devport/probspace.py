@@ -25,6 +25,17 @@ PIVOT_TOL = 1e-10
 CONSISTENCY_TOL = 1e-8
 
 
+def as_floats(values, what: str) -> np.ndarray:
+    """`values` as a finite float array, else a ValidationError naming `what`."""
+    try:
+        out = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be numeric, got {values!r}") from None
+    if not np.all(np.isfinite(out)):
+        raise ValidationError(f"{what} must be finite, got {values!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class FiniteProbSpace:
     """Finite probability space given by strictly positive scenario weights."""

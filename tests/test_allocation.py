@@ -3,6 +3,7 @@ import pytest
 
 from devport import (
     FiniteProbSpace,
+    build_custom,
     build_cvar,
     build_mad,
     capital_allocation,
@@ -10,12 +11,19 @@ from devport import (
     deviation_function,
     equilibrium_price_selection,
     evaluate,
+    robust_selector,
     scale,
     solve_cooperative,
     solve_individual,
 )
-from devport.errors import SpaceMismatch, TooManyScenarios, ValidationError
-from devport.geometry import PwlConvexFunction
+from devport import lp
+from devport.errors import (
+    DimensionMismatch,
+    SpaceMismatch,
+    TooManyScenarios,
+    ValidationError,
+)
+from devport.geometry import PwlConvexFunction, SteinerConfig
 
 
 def _coop_setup():
@@ -67,6 +75,40 @@ def test_capital_allocation_rejects_intercepts():
     good = PwlConvexFunction([[1.0, 0.0]], [0.0])
     with pytest.raises(ValidationError):
         capital_allocation(good, [])
+
+
+def test_capital_allocation_rejects_mismatched_parts():
+    risk = deviation_function(build_mad(FiniteProbSpace.uniform(3)))
+    for parts in ([np.zeros(2)], [np.zeros(3), np.zeros(4)]):
+        with pytest.raises(DimensionMismatch):
+            capital_allocation(risk, parts)
+
+
+@pytest.mark.parametrize("tied", [2, 3])
+def test_selectors_solve_no_lp_on_custom_faces(monkeypatch, tied):
+    # Generators are made extreme when the envelope is built; Steiner points
+    # of its faces, exact (hull dimension 2) or Monte Carlo (3), need no LP.
+    w = np.linspace(1.0, 2.0, 6)
+    space = FiniteProbSpace(w / w.sum())
+    env = build_custom(space, build_mad(space).generators)
+    x = np.array([0.0, 0.0, 0.0, 1.5, -2.0, 0.5])
+    free = np.arange(tied, 6)
+    x[:tied] = space.weights[free] @ x[free] / space.weights[free].sum()
+
+    def no_lp(*_args, **_kwargs):
+        raise AssertionError("lp.solve was called")
+
+    monkeypatch.setattr(lp, "solve", no_lp)
+    config = SteinerConfig(samples=20000, seed=1)
+    q = robust_selector(env, x, config).values
+    # The face is the MAD face at x, whose Steiner point has a closed form.
+    closed = robust_selector(build_mad(space), x).values
+    assert np.max(np.abs(q - closed)) <= (1e-12 if tied == 2 else 0.05)
+    risk = deviation_function(env)
+    part = np.linspace(-1.0, 1.0, 6)
+    res = capital_allocation(risk, [part, x - part], config)
+    assert res.total_risk == pytest.approx(evaluate(env, x), abs=1e-12)
+    assert res.contributions.sum() == pytest.approx(res.total_risk, abs=1e-8)
 
 
 def test_equilibrium_price_is_gradient_at_smooth_points():

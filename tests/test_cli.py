@@ -146,31 +146,45 @@ def test_validation_error_exit_code(tmp_path, capsys):
 SIMPLEX_3D = "[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]"
 
 
+BAD_INPUT_BASE = {
+    "schema": 1,
+    "space": {"uniform": 3},
+    "measure": {"kind": "mad"},
+    "x": [1.0, 0.0, 2.0],
+    "subportfolios": [[-1.0, 0.0, 1.0], [0.5, -0.5, 0.0]],
+}
+
+
 @pytest.mark.parametrize(
-    "measure, flags",
+    "command, changes, flags",
     [
-        ({"kind": "cvar", "alpha": "abc"}, []),
-        ({"kind": "max", "parts": 5}, []),
-        ({"kind": "mix", "parts": []}, []),
-        (None, ["--samples", "-3"]),
-        (None, ["--seed", "-1"]),
-        (None, ["--samples", "1"]),
+        ("selector", {"measure": {"kind": "cvar", "alpha": "abc"}}, []),
+        ("selector", {"measure": {"kind": "max", "parts": 5}}, []),
+        ("selector", {"measure": {"kind": "mix", "parts": []}}, []),
+        ("steiner", None, ["--samples", "-3"]),
+        ("steiner", None, ["--seed", "-1"]),
+        ("steiner", None, ["--samples", "1"]),
+        ("selector", {"x": "abc"}, []),
+        ("selector", {"x": [1.0, None, 2.0]}, []),
+        ("selector", {"space": {"uniform": "abc"}}, []),
+        ("selector", {"space": {"uniform": 2.5}}, []),
+        ("selector", {"space": 5}, []),
+        ("selector", {"samples": "many"}, []),
+        ("alloc", {"subportfolios": [[-1.0, 0.0, 1.0], [0.5]]}, []),
+        ("alloc", {"subportfolios": [1.0, 0.0, 1.0]}, []),
     ],
     ids=[
-        "alpha-abc", "parts-5", "mix-no-parts", "samples-neg", "seed-neg", "samples-1"
+        "alpha-abc", "parts-5", "mix-no-parts", "samples-neg", "seed-neg", "samples-1",
+        "x-abc", "x-null-entry", "uniform-abc", "uniform-fraction", "space-5",
+        "samples-word", "subportfolios-ragged", "subportfolios-flat",
     ],
 )
-def test_bad_input_is_validation_error(tmp_path, capsys, measure, flags):
-    if measure is None:
-        argv = ["steiner", "--vertices", SIMPLEX_3D, *flags]
+def test_bad_input_is_validation_error(tmp_path, capsys, command, changes, flags):
+    if changes is None:
+        argv = [command, "--vertices", SIMPLEX_3D, *flags]
     else:
-        cfg = {
-            "schema": 1,
-            "space": {"uniform": 3},
-            "measure": measure,
-            "x": [1.0, 0.0, 2.0],
-        }
-        argv = ["selector", "--config", _write(tmp_path, "bad.json", cfg)]
+        cfg = dict(BAD_INPUT_BASE, **changes)
+        argv = [command, "--config", _write(tmp_path, "bad.json", cfg)]
     code, out = _run_json(capsys, argv)
     assert code == 1
     assert out["error"]["type"] == "ValidationError"

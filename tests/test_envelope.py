@@ -18,6 +18,7 @@ from devport import (
     scale,
 )
 from devport.envelope import build_mad as _build_mad
+from devport.geometry import extreme_filter
 from devport.errors import TooManyScenarios, Unsupported, ValidationError
 
 
@@ -57,6 +58,16 @@ def test_mad_uniform_formula_vertex():
 def test_mad_n2():
     env = build_mad(FiniteProbSpace.uniform(2))
     assert _match(env.generators, [[0.0, 2.0], [2.0, 0.0]])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_mad_generators_extreme_for_any_weights(n):
+    # build_mad does not filter: every proper sign vector must already give
+    # an extreme generator on unequal weights.
+    w = np.random.default_rng(n).uniform(0.2, 1.0, n)
+    env = build_mad(FiniteProbSpace(w / w.sum()))
+    assert env.n_generators == 2**n - 2
+    assert extreme_filter(env.generators).n_vertices == 2**n - 2
 
 
 def test_mad_guard():
@@ -139,6 +150,14 @@ def test_mix_trivial():
     env = build_cvar(FiniteProbSpace.uniform(3), 0.5)
     mixed = mix([env], [1.0])
     assert _match(mixed.generators, env.generators)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_mix_generators_are_extreme(n):
+    # The shifted Minkowski sum is not filtered again; it needs no filter.
+    space = FiniteProbSpace.uniform(n)
+    env = mix([build_mad(space), build_cvar(space, 0.4)], [0.3, 0.5])
+    assert np.array_equal(extreme_filter(env.generators).vertices, env.generators)
 
 
 def test_evaluate_mad_golden():

@@ -199,6 +199,49 @@ def test_steiner_continuity_smoke():
     assert np.max(np.abs(s2 - s)) <= 100 * eps
 
 
+def _with_points_that_are_not_extreme(rng, extreme):
+    """The rows of `extreme` plus interior and edge points, shuffled."""
+    m = extreme.shape[0]
+    interior = rng.dirichlet(np.ones(m), size=3) @ extreme
+    edges = 0.3 * extreme + 0.7 * np.roll(extreme, 1, axis=0)
+    return rng.permutation(np.vstack([extreme, interior, edges]))
+
+
+def test_steiner_ignores_points_that_are_not_extreme_2d():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        # A convex polygon in cyclic order, so rolled pairs are its edges,
+        # lifted into R^3.
+        theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=6))
+        polygon = np.column_stack([2.0 * np.cos(theta), np.sin(theta), np.zeros(6)])
+        points = _with_points_that_are_not_extreme(rng, polygon)
+        points = points @ _random_rotation(rng, 3).T + rng.normal(size=3)
+        got, err = steiner_point(VPolytope(points))
+        expected, _ = steiner_point(extreme_filter(points))
+        assert np.all(err == 0)
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def test_steiner_ignores_points_that_are_not_extreme_montecarlo():
+    # Above hull dimension 2 a point that is not extreme is almost surely
+    # never the unique argmax, so the draws equal those over only the
+    # extreme points in the same hull coordinates, bit for bit.
+    rng = np.random.default_rng(29)
+    config = SteinerConfig(samples=4096, seed=3)
+    for d, k in ((3, 3), (5, 4)):
+        sphere = rng.normal(size=(8, k))
+        sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+        embed = _random_rotation(rng, d)[:, :k]
+        points = _with_points_that_are_not_extreme(rng, sphere) @ embed.T
+        got, got_err = steiner_point(VPolytope(points), config)
+        origin, basis = geometry._affine_hull(points)
+        hull = extreme_filter((points - origin) @ basis).vertices
+        assert hull.shape[0] == 8
+        mean, err = geometry._mc_steiner(hull, config)
+        assert np.array_equal(got, origin + basis @ mean)
+        assert np.array_equal(got_err, np.abs(basis) @ err)
+
+
 def test_extended_gradient_single_piece():
     f = PwlConvexFunction([[1.0, 2.0]], [0.0])
     assert np.allclose(extended_gradient(f, [3.0, 4.0]), [1.0, 2.0])
