@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -81,12 +82,19 @@ class VPolytope:
 
 
 def _dedup(points: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
-    """Drop near-duplicate rows (sup-norm tolerance), keeping first seen."""
-    kept: list[np.ndarray] = []
-    for p in points:
-        if not any(np.max(np.abs(p - q)) <= tol for q in kept):
-            kept.append(p)
-    return np.asarray(kept)
+    """Drop near-duplicate rows (sup-norm tolerance), keeping first seen.
+
+    A row equal to an earlier row shares its fate, so only first
+    occurrences are compared, each with every row kept so far at once.
+    """
+    _, first = np.unique(points, axis=0, return_index=True)
+    kept = np.empty_like(points)
+    n_kept = 0
+    for p in points[np.sort(first)]:
+        if not np.any(np.max(np.abs(kept[:n_kept] - p), axis=1) <= tol):
+            kept[n_kept] = p
+            n_kept += 1
+    return kept[:n_kept].copy()
 
 
 def contains(poly: VPolytope, point, tol: float = 1e-9) -> bool:
@@ -104,28 +112,77 @@ def contains(poly: VPolytope, point, tol: float = 1e-9) -> bool:
     return lp.feasible(a_ub=a_ub, b_ub=b_ub, n_vars=m)
 
 
+def _sure_extreme(points: np.ndarray) -> np.ndarray:
+    """Mask of distinct points that `extreme_filter` is certain to keep.
+
+    The directions h are ±e_k and each point minus the centroid, taken in
+    coordinates where the points have unit covariance. A point that beats
+    every other point along some h by more than 1e-7·s²·(1 + ‖h‖₁), with s
+    the largest |coordinate| or 1, is sure. `contains` accepts p against
+    columns q_j when some λ >= 0 has |Σλ_j q_j - p|∞ and |Σλ_j - 1| within
+    1e-9, and the solver certifies each row to a further 1e-9·(2 + s):
+    together at most ε <= 4e-9·s. With M = max_j h·q_j, so |M| <= s·‖h‖₁,
+    that gives h·p - M <= ε(|M| + ‖h‖₁) <= 8e-9·s²·‖h‖₁, below the margin,
+    so no subset of the other points absorbs a sure point.
+    """
+    m, d = points.shape
+    scale = max(float(np.abs(points).max()), 1.0)
+    u, sv, vt = np.linalg.svd(points - points.mean(axis=0), full_matrices=False)
+    r = sv > HULL_RANK_TOL * sv[0]
+    eye = np.eye(d)
+    dirs = np.vstack([(u[:, r] / sv[r]) @ vt[r], eye, -eye])
+    values = points @ dirs.T
+    top = np.argmax(values, axis=0)
+    cols = np.arange(dirs.shape[0])
+    best = values[top, cols]
+    values[top, cols] = -np.inf
+    lead = best - values.max(axis=0)
+    margin = 1e-7 * scale**2 * (1.0 + np.abs(dirs).sum(axis=1))
+    sure = np.zeros(m, dtype=bool)
+    sure[top[lead > margin]] = True
+    return sure
+
+
 def extreme_filter(points, tol: float = DEDUP_TOL) -> VPolytope:
     """Keep exactly the points that are extreme in the hull of the list.
 
-    A point is dropped when it is a convex combination of the others
-    (LP feasibility test).
+    After deduplication at `tol`, a point is dropped when `contains` finds
+    it within 1e-9 of the hull of the points still kept. The rows that stay
+    come back in their input order. The LPs scale with the output:
+
+    1. Prescreen. One matrix product finds points sure to be kept
+       (`_sure_extreme`).
+    2. Drop test. Every other point is tested against the sure points
+       alone. Their hull lies inside the hull of whatever is kept, so a
+       point dropped here is dropped by the full test too.
+    3. Fallback. The points still open take the full test, in order,
+       against every other point not yet dropped. The points that step 2
+       dropped lie within 1e-9 of the hull of the sure points, so leaving
+       them out moves the hull by no more than the test's own slack.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[None, :]
     if points.size == 0:
         raise ValidationError("empty point list")
+    if not np.all(np.isfinite(points)):
+        raise ValidationError("points must be finite")
     points = _dedup(points, tol)
     m = points.shape[0]
     if m == 1:
         return VPolytope(points)
+    sure = _sure_extreme(points)
     keep = np.ones(m, dtype=bool)
-    for i in range(m):
+    if sure.any():
+        frame = VPolytope(points[sure])
+        for i in np.flatnonzero(~sure):
+            if contains(frame, points[i], tol=1e-9):
+                keep[i] = False
+    for i in np.flatnonzero(keep & ~sure):
         others = points[keep & (np.arange(m) != i)]
         if others.shape[0] == 0:
             continue
-        rest = VPolytope(others)
-        if contains(rest, points[i], tol=1e-9):
+        if contains(VPolytope(others), points[i], tol=1e-9):
             keep[i] = False
     return VPolytope(points[keep])
 
@@ -145,8 +202,6 @@ def _basic_feasible_solutions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a_red = a[rows]
     b_red = b[rows]
     r = a_red.shape[0]
-    from math import comb
-
     if comb(n, r) > SUBSET_GUARD:
         raise GuardExceeded(
             f"basic-solution enumeration needs {comb(n, r)} bases (cap {SUBSET_GUARD})"
@@ -155,20 +210,16 @@ def _basic_feasible_solutions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     mats = a_red[:, combos].transpose(1, 0, 2)  # (n_combo, r, r)
     dets = np.abs(np.linalg.det(mats))
     ok = dets > 1e-12 * max(np.abs(a_red).max(), 1.0) ** r
-    sols = []
-    if np.any(ok):
-        rhs = np.broadcast_to(b_red[:, None], (int(ok.sum()), r, 1)).copy()
-        zb = np.linalg.solve(mats[ok], rhs)[:, :, 0]
-        for combo, z in zip(combos[ok], zb):
-            if z.min(initial=0.0) < -1e-9:
-                continue
-            full = np.zeros(n)
-            full[combo] = np.maximum(z, 0.0)
-            if np.max(np.abs(a @ full - b)) <= 1e-8 * norm:
-                sols.append(full)
-    if not sols:
+    rhs = np.broadcast_to(b_red[:, None], (int(ok.sum()), r, 1)).copy()
+    zb = np.linalg.solve(mats[ok], rhs)[:, :, 0]
+    signed = zb.min(axis=1, initial=0.0) >= -1e-9
+    zb = zb[signed]
+    full = np.zeros((zb.shape[0], n))
+    full[np.arange(zb.shape[0])[:, None], combos[ok][signed]] = np.maximum(zb, 0.0)
+    sols = full[np.max(np.abs(full @ a.T - b), axis=1) <= 1e-8 * norm]
+    if sols.shape[0] == 0:
         raise EmptyIntersection("no basic feasible solution")
-    return _dedup(np.asarray(sols), FACE_DEDUP_TOL)
+    return _dedup(sols, FACE_DEDUP_TOL)
 
 
 def intersect(p1: VPolytope, p2: VPolytope) -> VPolytope:
@@ -441,8 +492,6 @@ def enumerate_face_vertices(
     r0 = a_eq_red.shape[0]
     need = max(n - r0, 0)
     m = b_ub.size
-    from math import comb
-
     if comb(m, need) > SUBSET_GUARD:
         raise GuardExceeded(
             f"face enumeration needs {comb(m, need)} subsets (cap {SUBSET_GUARD})"

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from devport import geometry
+from devport import geometry, lp
+from devport.envelope import build_cvar, build_mad
 from devport.errors import DimensionMismatch, EmptyIntersection, ValidationError
 from devport.geometry import (
     PwlConvexFunction,
@@ -16,6 +18,7 @@ from devport.geometry import (
     steiner_point,
     support,
 )
+from devport.probspace import FiniteProbSpace
 
 
 def _match(got, expected, tol=1e-8):
@@ -46,6 +49,111 @@ def test_extreme_filter_square_plus_center():
     poly = extreme_filter(pts)
     assert poly.n_vertices == 4
     assert not any(np.allclose(v, [0.5, 0.5]) for v in poly.vertices)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_extreme_filter_rejects_points_that_are_not_finite(bad):
+    with pytest.raises(ValidationError):
+        extreme_filter([[0.0, 0.0], [1.0, bad], [2.0, 0.0]])
+
+
+def _in_hull_of_others(points, i):
+    """HiGHS membership of row i in the hull of the other rows."""
+    others = np.delete(points, i, axis=0)
+    m = others.shape[0]
+    res = linprog(
+        np.zeros(m),
+        A_eq=np.vstack([others.T, np.ones(m)]),
+        b_eq=np.append(points[i], 1.0),
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.status in (0, 2)
+    return res.status == 0
+
+
+def _cube_with_clutter(rng, k, d):
+    """Corners of a k-cube mapped affinely into R^d, with interior points,
+    points on its edges and near-duplicates within the dedup tolerance."""
+    corners = np.array(np.meshgrid(*[[0.0, 1.0]] * k)).reshape(k, -1).T
+    starts = corners[rng.integers(len(corners), size=6)]
+    axes = np.eye(k)[rng.integers(k, size=6)]
+    # Move each start corner part of the way along one cube axis.
+    steps = (1.0 - 2.0 * starts) * axes * rng.uniform(0.2, 0.8, size=(6, 1))
+    edges = starts + steps
+    interior = rng.dirichlet(np.ones(len(corners)), size=4) @ corners
+    points = np.vstack([corners, edges, interior])
+    stretch = rng.uniform(0.5, 2.0, size=(k, 1)) * _random_rotation(rng, d)[:k]
+    points = points @ stretch
+    points += rng.normal(size=d)
+    twins = points[rng.integers(len(points), size=4)]
+    twins += rng.uniform(-0.4, 0.4, size=twins.shape) * geometry.DEDUP_TOL
+    return rng.permutation(np.vstack([points, twins]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_extreme_filter_against_highs(d):
+    rng = np.random.default_rng(40 + d)
+    clouds = [
+        _cube_with_clutter(rng, d, d),
+        _cube_with_clutter(rng, d - 1, d),
+        rng.normal(size=(25, d)),
+        rng.normal(size=(25, 2)) @ rng.normal(size=(2, d)),
+    ]
+    for points in clouds:
+        distinct = geometry._dedup(points, geometry.DEDUP_TOL)
+        extreme = [not _in_hull_of_others(distinct, i) for i in range(len(distinct))]
+        got = extreme_filter(points).vertices
+        assert np.array_equal(got, distinct[extreme])
+
+
+def _dedup_pairwise(points, tol):
+    kept = []
+    for p in points:
+        if not any(np.max(np.abs(p - q)) <= tol for q in kept):
+            kept.append(p)
+    return np.asarray(kept)
+
+
+def test_dedup_matches_the_pairwise_loop():
+    tol = geometry.DEDUP_TOL
+    a = np.array([1.0, -2.0, 0.5])
+    # b is within tol of a and of c, but a and c are further apart.
+    chain = np.array([a, a + 0.6 * tol, a + 1.2 * tol])
+    at_tol = np.array([[0.0, 0.0], [tol, 0.0], [-0.0, -tol], [tol, 2.0 * tol]])
+    rng = np.random.default_rng(8)
+    cases = [(chain, chain[[0, 2]]), (at_tol, at_tol[[0, 3]])]
+    for _ in range(50):
+        grid = rng.integers(-2, 3, size=(rng.integers(1, 30), 3)) * (0.5 * tol)
+        cases.append((grid[rng.integers(len(grid), size=40)], None))
+    for points, expected in cases:
+        got = geometry._dedup(points, tol)
+        assert np.array_equal(got, _dedup_pairwise(points, tol))
+        if expected is not None:
+            assert np.array_equal(got, expected)
+
+
+def test_intersect_mad_and_cvar_half_is_the_cvar_envelope():
+    space = FiniteProbSpace.uniform(4)
+    cvar = build_cvar(space, 0.5)
+    got = intersect(build_mad(space).polytope(), cvar.polytope())
+    assert cvar.n_generators == 6
+    assert _match(got.vertices, cvar.generators, tol=1e-12)
+
+
+def test_intersect_lps_scale_with_the_output(monkeypatch):
+    sizes = []
+    solve = lp.solve
+
+    def recording(problem):
+        sizes.append(problem.n_vars)
+        return solve(problem)
+
+    monkeypatch.setattr(lp, "solve", recording)
+    space = FiniteProbSpace.uniform(4)
+    got = intersect(build_mad(space).polytope(), build_cvar(space, 0.5).polytope())
+    assert sizes
+    assert max(sizes) <= 2 * (got.n_vertices + got.dim + 1)
 
 
 def test_minkowski_translation():
