@@ -32,6 +32,7 @@ HULL_RANK_TOL = 1e-9
 INTERSECT_DIM_GUARD = 8
 SUBSET_GUARD = 500_000
 DEFAULT_SAMPLES = 65_536
+MC_CHUNK = 8192  # Monte-Carlo directions scored at once
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,10 @@ class SteinerConfig:
     method: str = "auto"  # "auto" (exact for hull dim <= 2) or "montecarlo"
 
     def __post_init__(self):
+        for name in ("samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.samples < 2:
             raise ValidationError("samples must be at least 2 for a standard error")
         if self.seed < 0:
@@ -291,41 +296,63 @@ def _polygon_steiner(points2: np.ndarray) -> np.ndarray:
     return weights @ points2
 
 
-def _mc_steiner(coords: np.ndarray, config: SteinerConfig):
-    """Monte-Carlo Eq.-(5) estimate in hull coordinates.
+def _chunk_sizes(total: int):
+    """Sizes of consecutive MC_CHUNK-bounded slices of `total` draws."""
+    return [min(MC_CHUNK, total - start) for start in range(0, total, MC_CHUNK)]
 
-    Directions are uniform on the sphere; each sample contributes the
-    argmax vertex; ties are resolved by resampling the direction.
+
+def _mc_pick_counts(coords: np.ndarray, config: SteinerConfig) -> np.ndarray:
+    """How often each row of `coords` is the argmax of a random direction.
+
+    Directions are uniform on the sphere, `config.samples` of them; a tie
+    is resolved by drawing that sample's direction again. Picks are counted
+    per vertex, not stored: directions are drawn and scored MC_CHUNK at a
+    time, so memory does not grow with `samples`. Consecutive chunks read
+    the same normal stream as one draw of every sample, so the counts do
+    not depend on MC_CHUNK.
     """
-    n_samples = config.samples
     m, k = coords.shape
     rng = np.random.default_rng(config.seed)
-    picks = np.empty(n_samples, dtype=np.intp)
-    pending = np.arange(n_samples)
+    counts = np.zeros(m, dtype=np.int64)
+    pending = config.samples
     for _round in range(200):
-        dirs = rng.standard_normal((pending.size, k))
-        norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        dirs /= norms
-        scores = dirs @ coords.T
-        best = scores.max(axis=1)
-        tie_counts = np.sum(
-            scores >= best[:, None] - TIE_TOL * (1.0 + np.abs(best))[:, None], axis=1
-        )
-        clean = tie_counts == 1
-        picks[pending[clean]] = np.argmax(scores[clean], axis=1)
-        pending = pending[~clean]
-        if pending.size == 0:
-            break
-    else:
-        # Ties persisting after many rounds sit on a measure-zero set; any
-        # attaining vertex is acceptable for the remaining samples.
-        dirs = rng.standard_normal((pending.size, k))
-        picks[pending] = np.argmax(dirs @ coords.T, axis=1)
-    chosen = coords[picks]
-    mean = chosen.mean(axis=0)
-    stderr = chosen.std(axis=0, ddof=1) / np.sqrt(n_samples)
-    return mean, stderr
+        tied = 0
+        for size in _chunk_sizes(pending):
+            dirs = rng.standard_normal((size, k))
+            scores = coords @ dirs.T
+            best = scores.max(axis=0)
+            # TIE_TOL·(1 + |best|) on the unit direction dirs/‖dirs‖.
+            norms = np.sqrt(np.einsum("ij,ij->i", dirs, dirs))
+            hit = scores >= best - TIE_TOL * (norms + np.abs(best))
+            # Summing the bytes of a boolean array is the fast column count.
+            clean = np.add.reduce(hit.view(np.uint8), axis=0, dtype=np.int32) == 1
+            counts += np.count_nonzero(hit & clean, axis=1)
+            tied += size - int(np.count_nonzero(clean))
+        pending = tied
+        if pending == 0:
+            return counts
+    # Ties persisting after many rounds sit on a measure-zero set; any
+    # attaining vertex is acceptable for the remaining samples.
+    for size in _chunk_sizes(pending):
+        dirs = rng.standard_normal((size, k))
+        counts += np.bincount(np.argmax(coords @ dirs.T, axis=0), minlength=m)
+    return counts
+
+
+def _mc_steiner(coords: np.ndarray, config: SteinerConfig):
+    """Monte-Carlo Eq.-(5) estimate in hull coordinates, with its standard
+    error: the mean and spread of the argmax vertices that
+    `_mc_pick_counts` counts. Vertices never picked drop out of the sums,
+    so the estimate is bit for bit the one over the picked vertices alone.
+    """
+    n_samples = config.samples
+    counts = _mc_pick_counts(coords, config)
+    used = counts > 0
+    weights = counts[used].astype(float)
+    picked = coords[used]
+    mean = weights @ picked / n_samples
+    var = weights @ (picked - mean) ** 2 / (n_samples - 1)
+    return mean, np.sqrt(var) / np.sqrt(n_samples)
 
 
 def steiner_point(
@@ -335,9 +362,11 @@ def steiner_point(
 
     Exact (zero error) for hull dimension <= 2: singleton, segment
     midpoint, polygon normal-cone-angle average. Higher dimensions use a
-    seeded Monte-Carlo average of support argmax points. Everything runs in
-    affine-hull coordinates, with no LP: a row that is not extreme gets
-    weight 0 in a polygon and is almost surely never the unique argmax.
+    seeded Monte-Carlo average of support argmax points, counted per vertex
+    rather than stored, so memory does not grow with `config.samples`.
+    Everything runs in affine-hull coordinates, with no LP: a row that is
+    not extreme gets weight 0 in a polygon and is almost surely never the
+    unique argmax.
     """
     config = config or SteinerConfig()
     verts = poly.vertices

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -348,6 +351,135 @@ def test_steiner_ignores_points_that_are_not_extreme_montecarlo():
         mean, err = geometry._mc_steiner(hull, config)
         assert np.array_equal(got, origin + basis @ mean)
         assert np.array_equal(got_err, np.abs(basis) @ err)
+
+
+def _per_sample_mc_steiner(coords, config):
+    """The per-sample estimator `_mc_pick_counts` replaced, kept as the
+    reference: it stores every pick, then averages the picked rows.
+    Returns (per-vertex pick counts, mean, standard error)."""
+    n_samples = config.samples
+    m, k = coords.shape
+    rng = np.random.default_rng(config.seed)
+    picks = np.empty(n_samples, dtype=np.intp)
+    pending = np.arange(n_samples)
+    for _round in range(200):
+        dirs = rng.standard_normal((pending.size, k))
+        norms = np.linalg.norm(dirs, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        dirs /= norms
+        scores = dirs @ coords.T
+        best = scores.max(axis=1)
+        tie_counts = np.sum(
+            scores >= best[:, None] - geometry.TIE_TOL * (1.0 + np.abs(best))[:, None],
+            axis=1,
+        )
+        clean = tie_counts == 1
+        picks[pending[clean]] = np.argmax(scores[clean], axis=1)
+        pending = pending[~clean]
+        if pending.size == 0:
+            break
+    else:
+        dirs = rng.standard_normal((pending.size, k))
+        picks[pending] = np.argmax(dirs @ coords.T, axis=1)
+    chosen = coords[picks]
+    mean = chosen.mean(axis=0)
+    stderr = chosen.std(axis=0, ddof=1) / np.sqrt(n_samples)
+    return np.bincount(picks, minlength=m), mean, stderr
+
+
+def _cube(k):
+    return np.array(list(itertools.product((0.0, 1.0), repeat=k)))
+
+
+def _steiner_reference_inputs():
+    rng = np.random.default_rng(31)
+    clouds = [rng.normal(size=(3 * k, k)) * rng.uniform(0.2, 5.0) for k in (3, 4, 5, 6)]
+    cube = _cube(4)
+    # Axis directions tie on the cube's facets, and the edge midpoint is
+    # never the unique argmax.
+    clouds.append(np.vstack([cube, 0.5 * (cube[0] + cube[1])]))
+    # Half the vertices have a copy 1e-12 away: a direction that picks one
+    # of them ties, and its sample is drawn again, round after round.
+    near = _cube(3) * 2.0 - 1.0
+    clouds.append(np.vstack([near, near[::2] + 1e-12 * rng.normal(size=(4, 3))]))
+    return clouds
+
+
+@pytest.mark.parametrize(
+    "samples", [2, geometry.MC_CHUNK - 1, geometry.MC_CHUNK + 1, 30_000]
+)
+def test_mc_steiner_matches_per_sample_reference(samples):
+    # Counting picks in chunks draws the same directions and picks the same
+    # vertices; only the summation order of the mean and error changes.
+    for seed, coords in enumerate(_steiner_reference_inputs()):
+        config = SteinerConfig(samples=samples, seed=seed)
+        counts, mean_ref, err_ref = _per_sample_mc_steiner(coords, config)
+        assert np.array_equal(geometry._mc_pick_counts(coords, config), counts)
+        mean, err = geometry._mc_steiner(coords, config)
+        tol = 1e-12 * max(1.0, float(np.abs(coords).max()))
+        assert np.max(np.abs(mean - mean_ref)) <= tol
+        assert np.max(np.abs(err - err_ref)) <= tol
+
+
+def test_mc_steiner_ties_that_never_resolve_match_per_sample_reference():
+    # Every direction ties a vertex with its copy, so after the last round
+    # of redraws each sample takes the first vertex attaining the maximum.
+    coords = np.repeat(np.eye(3), 2, axis=0)
+    config = SteinerConfig(samples=50, seed=4)
+    counts, mean_ref, err_ref = _per_sample_mc_steiner(coords, config)
+    assert np.array_equal(geometry._mc_pick_counts(coords, config), counts)
+    assert counts[1::2].sum() == 0
+    mean, err = geometry._mc_steiner(coords, config)
+    assert np.max(np.abs(mean - mean_ref)) <= 1e-12
+    assert np.max(np.abs(err - err_ref)) <= 1e-12
+
+
+def test_mc_steiner_memory_does_not_grow_with_samples():
+    # Storing 262,144 picks and their scores took about 150 MB.
+    coords = _cube(5)
+    config = SteinerConfig(samples=262_144, seed=0)
+    tracemalloc.start()
+    try:
+        geometry._mc_steiner(coords, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def test_mc_steiner_error_shrinks_like_inverse_sqrt_samples():
+    # The Steiner point of a cube is its centre.
+    coords = _cube(3)
+    center = np.full(3, 0.5)
+    mean_small, err_small = geometry._mc_steiner(coords, SteinerConfig(samples=4096))
+    mean_large, err_large = geometry._mc_steiner(coords, SteinerConfig(samples=65_536))
+    assert np.all(np.abs(err_small / err_large - 4.0) <= 0.15 * 4.0)
+    for mean, err in ((mean_small, err_small), (mean_large, err_large)):
+        assert np.all(np.abs(mean - center) <= 4.0 * err)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"samples": 1000.0},
+        {"samples": True},
+        {"samples": "1000"},
+        {"seed": 1.5},
+        {"seed": 2.0},
+        {"seed": False},
+    ],
+)
+def test_steiner_config_rejects_values_that_are_not_integers(kwargs):
+    with pytest.raises(ValidationError):
+        SteinerConfig(**kwargs)
+
+
+def test_steiner_config_accepts_numpy_integers():
+    config = SteinerConfig(samples=np.int64(4096), seed=np.uint32(3))
+    mc, err = steiner_point(VPolytope(_cube(3)), config)
+    expected, expected_err = steiner_point(VPolytope(_cube(3)), SteinerConfig(4096, 3))
+    assert np.array_equal(mc, expected)
+    assert np.array_equal(err, expected_err)
 
 
 def test_extended_gradient_single_piece():
