@@ -2,18 +2,25 @@
 
 Capital contributions come from the extended gradient of a positively
 homogeneous max-linear risk function. The cooperative machinery solves the
-joint utility LP for agents with U_i = E - D_i, intersects their risk
-envelopes, and settles fairness through side payments equalizing the
-agents' value under the critical scenario Q*.
+joint utility LP for agents with U_i = E - D_i, reads the coalition's
+identifier face from the agents' own faces, and settles fairness through
+side payments equalizing the agents' value under the critical scenario Q*.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import geometry, lp
-from .envelope import Measure, RiskEnvelope, risk_identifiers
+from .envelope import (
+    ACTIVITY_TOL,
+    Measure,
+    RiskEnvelope,
+    RiskIdentifierSet,
+    risk_identifiers,
+)
 from .errors import (
     DimensionMismatch,
     EmptyIntersection,
@@ -36,15 +43,23 @@ class CapitalAllocationResult:
 
 @dataclass(frozen=True)
 class CooperativeSolution:
-    coalition_envelope: RiskEnvelope
+    envelopes: tuple[RiskEnvelope, ...]  # one per agent
     weights: np.ndarray  # joint portfolio x, summing to 1
     joint_payoff: np.ndarray  # X* = capital * R'x
     shares: np.ndarray  # canonical Y_i, one row per agent
     utilities: np.ndarray  # u_i at the canonical shares
     total_utility: float  # u*
-    critical_identifier: np.ndarray  # Q*
+    critical_face: geometry.VPolytope  # coalition identifier face at X*
+    critical_identifier: np.ndarray  # Q*, the Steiner point of critical_face
     side_payments: np.ndarray  # C_i, summing to 0
     final_shares: np.ndarray  # Y_i + C_i
+
+    @cached_property
+    def coalition_envelope(self) -> RiskEnvelope:
+        """Intersection of the agents' envelopes, built on first access."""
+        if len(self.envelopes) == 1:
+            return self.envelopes[0]
+        return cooperative_envelope(self.envelopes)
 
 
 def deviation_function(env: RiskEnvelope) -> geometry.PwlConvexFunction:
@@ -188,6 +203,45 @@ def _joint_lp(returns, space: FiniteProbSpace, envelopes, capital: float) -> dic
     }
 
 
+def _coalition_face(envelopes, shares, joint, total_u) -> geometry.VPolytope:
+    """Coalition identifier face at X* as the meet of the agents' faces."""
+    idents = sorted(
+        (risk_identifiers(env, y) for env, y in zip(envelopes, shares)),
+        key=lambda ident: ident.polytope.n_vertices,
+    )
+    w = envelopes[0].space.weights
+    face = idents[0].polytope
+    for ident in idents[1:]:
+        if _inside_face(face, ident, w):
+            continue
+        try:
+            face = geometry.intersect(face, ident.polytope)
+        except EmptyIntersection as exc:
+            raise InternalCheckError(
+                "the agents' identifier faces do not meet at the optimal split"
+            ) from exc
+    prices = face.vertices @ (w * joint)  # E[Q X*]
+    if np.max(np.abs(prices - total_u)) > 1e-8 * (1.0 + abs(total_u)):
+        raise InternalCheckError("a coalition identifier does not price X* at u*")
+    return face
+
+
+def _inside_face(
+    face: geometry.VPolytope, ident: RiskIdentifierSet, w: np.ndarray
+) -> bool:
+    """Whether every vertex of `face` lies in the identifier face `ident`.
+
+    Every point of `ident` prices the agent's share Y at its minimum E[QY];
+    a vertex that does not is outside without an LP, so the membership LPs
+    run only when every vertex passes.
+    """
+    scores = -(face.vertices @ (w * ident.x))
+    best = ident.value - float(w @ ident.x)  # max over the envelope
+    if np.any(scores < best - ACTIVITY_TOL * (1.0 + abs(best))):
+        return False
+    return all(geometry.contains(ident.polytope, q) for q in face.vertices)
+
+
 def solve_cooperative(
     returns,
     space: FiniteProbSpace,
@@ -200,10 +254,27 @@ def solve_cooperative(
     The LP's split of the payoff is canonicalized (all Pareto optima differ
     by constants) so agents 2..m sit at utility zero before side payments;
     the payments then equalize everyone's value under Q*.
+
+    Q* is the Steiner point of the coalition's identifier face at X*, which
+    is the intersection of each agent's identifier face at its LP share
+    Y_i; the coalition envelope itself is never built. The faces are met
+    smallest first, and a face that already lies inside the next one (say
+    when a share is riskless, so that its face is the whole envelope) is
+    kept without an intersection. The rule is exact:
+    for Q in the coalition face, E[QX*] = u* = sum u_i(Y_i) <= sum E[QY_i]
+    = E[QX*], so every inequality is tight and Q lies in every agent's face;
+    conversely a Q in every agent's face lies in each envelope and prices
+    X* at u*. Shifting a share by a constant moves no face, since every
+    envelope has E[Q] = 1. This is the subdifferential of an exact infimal
+    convolution (Rockafellar, Convex Analysis, Thm. 16.4; Bauschke and
+    Combettes, Convex Analysis and Monotone Operator Theory, 2011, ch. 16).
     """
     m = len(envelopes)
     if m < 1:
         raise ValidationError("need at least one agent")
+    envelopes = tuple(envelopes)
+    if any(not env.space.same_as(space) for env in envelopes):
+        raise SpaceMismatch("envelopes live on different probability spaces")
     if capital is None:
         capital = float(m)
     res = _joint_lp(returns, space, envelopes, capital)
@@ -214,6 +285,7 @@ def solve_cooperative(
         [_min_expected(env, y) for env, y in zip(envelopes, shares)]
     )
     total_u = float(utilities.sum())
+    face = _coalition_face(envelopes, shares, joint, total_u)
     # Constant shifts: push agents 2..m to utility 0, agent 1 absorbs.
     if m > 1:
         shifts = np.zeros(m)
@@ -225,12 +297,7 @@ def solve_cooperative(
         )
     if abs(float(utilities.sum()) - total_u) > 1e-8 * (1.0 + abs(total_u)):
         raise InternalCheckError("constant shifts changed the total utility")
-    if m > 1:
-        coalition = cooperative_envelope(envelopes)
-    else:
-        coalition = envelopes[0]
-    ident = risk_identifiers(coalition, joint)
-    q_star, _err = geometry.steiner_point(ident.polytope, config)
+    q_star, _err = geometry.steiner_point(face, config)
     w = space.weights
     prices = np.asarray([float(w @ (q_star * y)) for y in shares])  # E[Q* Y_i]
     side = -prices + prices.sum() / m
@@ -238,12 +305,13 @@ def solve_cooperative(
     if abs(side.sum()) > 1e-10:
         raise InternalCheckError("side payments do not sum to zero")
     return CooperativeSolution(
-        coalition_envelope=coalition,
+        envelopes=envelopes,
         weights=x,
         joint_payoff=joint,
         shares=shares,
         utilities=utilities,
         total_utility=total_u,
+        critical_face=face,
         critical_identifier=q_star,
         side_payments=side,
         final_shares=final,

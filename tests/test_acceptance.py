@@ -28,14 +28,14 @@ from devport import (
     steiner_point,
     verify_dichotomy,
 )
-from devport.cli import _golden_cases
+from devport.golden import golden_cases
 from devport.errors import ZeroRiskPortfolio
 from devport.geometry import contains, extreme_filter
 from devport import lp
 from math import comb
 
 
-GOLDEN = _golden_cases()
+GOLDEN = golden_cases()
 
 
 def _report(name):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from devport import (
     FiniteProbSpace,
@@ -11,19 +12,22 @@ from devport import (
     deviation_function,
     equilibrium_price_selection,
     evaluate,
+    risk_identifiers,
     robust_selector,
     scale,
     solve_cooperative,
     solve_individual,
 )
-from devport import lp
+from devport import allocation, lp
 from devport.errors import (
     DimensionMismatch,
+    EmptyIntersection,
+    InternalCheckError,
     SpaceMismatch,
     TooManyScenarios,
     ValidationError,
 )
-from devport.geometry import PwlConvexFunction, SteinerConfig
+from devport.geometry import PwlConvexFunction, SteinerConfig, contains, steiner_point
 
 
 def _coop_setup():
@@ -32,6 +36,37 @@ def _coop_setup():
     env1 = build_cvar(space, 2 / 3)
     env2 = scale(build_mad(space), 0.5)
     return space, returns, env1, env2
+
+
+def _space(n, weights):
+    if weights == "uniform":
+        return FiniteProbSpace.uniform(n)
+    w = np.linspace(1.0, 2.0, n)  # 1, 4/3, 5/3, 2 at N=4
+    return FiniteProbSpace(w / w.sum())
+
+
+def _priced_returns(seed, space, n_assets):
+    """Returns priced at 0.05 by one Q0 = 1 + d, |d| <= 0.2, that lies in
+    every envelope of these tests, so the joint LP is bounded."""
+    rng = np.random.default_rng(seed)
+    w = space.weights
+    returns = rng.normal(0.05, 0.3, size=(n_assets, space.n_scenarios))
+    d = rng.uniform(-0.1, 0.1, size=space.n_scenarios)
+    q0 = 1.0 + d - w @ d
+    return returns + (0.05 - returns @ (w * q0))[:, None]
+
+
+def _same_vertex_set(a, b, tol):
+    dist = np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
+    return a.shape == b.shape and max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= tol
+
+
+def _agents(kind, space):
+    if kind == "mad+cvar1/2":
+        return [build_mad(space), build_cvar(space, 1 / 2)]
+    if kind == "cvar2/3+mad/2":
+        return [build_cvar(space, 2 / 3), scale(build_mad(space), 0.5)]
+    return [build_cvar(space, 2 / 3), scale(build_mad(space), 0.5), build_cvar(space, 1 / 3)]
 
 
 def test_deviation_function_matches_evaluate():
@@ -152,6 +187,14 @@ def test_cooperative_envelope_validation():
         cooperative_envelope([big1, big2])
 
 
+def test_cooperative_rejects_envelopes_on_other_spaces():
+    space, returns, env1, _env2 = _coop_setup()
+    skewed = FiniteProbSpace(np.array([0.2, 0.3, 0.5]))
+    for other in (build_cvar(FiniteProbSpace.uniform(4), 0.5), build_mad(skewed)):
+        with pytest.raises(SpaceMismatch):
+            solve_cooperative(returns, space, [env1, other])
+
+
 def test_individual_optima_golden():
     space, returns, env1, env2 = _coop_setup()
     _x1, u1 = solve_individual(returns, space, env1)
@@ -209,3 +252,111 @@ def test_cooperative_three_agents():
     # Agents 2..m sit at utility zero after canonicalization.
     assert np.max(np.abs(sol.utilities[1:])) <= 1e-8
     assert sol.utilities[0] == pytest.approx(sol.total_utility, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "agents, n, weights",
+    [
+        (agents, n, weights)
+        for agents in ("mad+cvar1/2", "cvar2/3+mad/2")
+        for n in (3, 4)
+        for weights in ("uniform", "linear")
+    ]
+    + [("three", 3, "uniform"), ("three", 4, "uniform")],
+)
+def test_critical_face_is_the_coalition_face(agents, n, weights):
+    space = _space(n, weights)
+    envs = _agents(agents, space)
+    coalition = cooperative_envelope(envs)
+    # Two assets give segment faces; three give polygons at N=4 and, at N=3,
+    # a riskless X* whose face is the whole coalition envelope.
+    for n_assets in (2, 3):
+        sol = solve_cooperative(_priced_returns(n, space, n_assets), space, envs)
+        face = risk_identifiers(coalition, sol.joint_payoff).polytope
+        assert _same_vertex_set(sol.critical_face.vertices, face.vertices, 1e-9)
+        q, _err = steiner_point(face)
+        assert np.max(np.abs(sol.critical_identifier - q)) <= 1e-12
+
+
+def test_cooperative_never_builds_the_coalition_envelope(monkeypatch):
+    space, returns, env1, env2 = _coop_setup()
+    envs = [env1, env2, build_cvar(space, 1 / 3)]
+    expected = solve_cooperative(returns, space, envs)
+
+    def no_envelope(*_args, **_kwargs):
+        raise AssertionError("cooperative_envelope was called")
+
+    monkeypatch.setattr(allocation, "cooperative_envelope", no_envelope)
+    sol = solve_cooperative(returns, space, envs)
+    for name in ("weights", "shares", "critical_identifier", "side_payments", "final_shares"):
+        assert np.array_equal(getattr(sol, name), getattr(expected, name))
+    assert sol.total_utility == expected.total_utility
+
+
+@pytest.mark.parametrize("fault", ["face-off-the-payoff", "faces-do-not-meet"])
+def test_cooperative_certifies_the_face(monkeypatch, fault):
+    space, returns, env1, env2 = _coop_setup()
+    if fault == "face-off-the-payoff":
+        # At a zero payoff every generator is active: the whole envelopes.
+        monkeypatch.setattr(
+            allocation, "risk_identifiers", lambda env, _y: risk_identifiers(env, np.zeros(3))
+        )
+    else:
+        def no_meet(*_args):
+            raise EmptyIntersection("the polytopes do not intersect")
+
+        monkeypatch.setattr(allocation.geometry, "intersect", no_meet)
+    with pytest.raises(InternalCheckError):
+        solve_cooperative(returns, space, [env1, env2])
+
+
+def test_cooperative_at_five_scenarios():
+    # The coalition envelope of MAD and CVaR(2/5) at N=5 needs more bases
+    # than geometry.intersect allows; the agents' faces are small.
+    space = FiniteProbSpace.uniform(5)
+    envs = [build_mad(space), build_cvar(space, 2 / 5)]
+    returns = _priced_returns(0, space, 3)
+    sol = solve_cooperative(returns, space, envs)
+    # The joint LP over (a_1, a_2, Y_1, Y_2, x): max a_1 + a_2 with
+    # a_i <= E[Q Y_i] per generator, Y_1 + Y_2 = 2 R'x and sum x = 1.
+    w = space.weights
+    n_vars = 2 + 2 * 5 + 3
+    a_ub = []
+    for i, env in enumerate(envs):
+        block = np.zeros((env.n_generators, n_vars))
+        block[:, i] = 1.0
+        block[:, 2 + 5 * i : 7 + 5 * i] = -(env.generators * w)
+        a_ub.append(block)
+    a_eq = np.zeros((6, n_vars))
+    a_eq[:5, 2:7] = a_eq[:5, 7:12] = np.eye(5)
+    a_eq[:5, 12:] = -2.0 * returns.T
+    a_eq[5, 12:] = 1.0
+    c = np.zeros(n_vars)
+    c[:2] = -1.0
+    a_ub = np.vstack(a_ub)
+    ref = linprog(c, A_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), A_eq=a_eq,
+                  b_eq=np.r_[np.zeros(5), 1.0], bounds=(None, None), method="highs")
+    assert ref.status == 0
+    assert sol.total_utility == pytest.approx(-ref.fun, abs=1e-8)
+    q = sol.critical_identifier
+    assert all(contains(env.polytope(), q) for env in envs)
+    assert float(w @ (q * sol.joint_payoff)) == pytest.approx(sol.total_utility, abs=1e-8)
+
+
+def test_coalition_envelope_is_built_once_on_demand(monkeypatch):
+    space, returns, env1, env2 = _coop_setup()
+    calls = []
+
+    def counted(envelopes):
+        calls.append(1)
+        return cooperative_envelope(envelopes)
+
+    monkeypatch.setattr(allocation, "cooperative_envelope", counted)
+    sol = solve_cooperative(returns, space, [env1, env2])
+    assert calls == []
+    coal = sol.coalition_envelope
+    assert sol.coalition_envelope is coal
+    assert calls == [1]
+    assert np.array_equal(coal.generators, cooperative_envelope([env1, env2]).generators)
+    single = solve_cooperative(returns, space, [env1], capital=1.0)
+    assert single.coalition_envelope is env1

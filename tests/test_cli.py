@@ -100,6 +100,7 @@ def test_coop_command(tmp_path, capsys):
     assert out["total_utility"] == pytest.approx(2 / 15, abs=1e-9)
     assert np.allclose(out["side_payments"], [-1 / 15, 1 / 15], atol=1e-9)
     assert np.allclose(out["final_shares"][0], np.full(3, 1 / 15), atol=1e-9)
+    assert len(out["coalition_vertices"]) == 9
 
 
 def test_bl_command_with_override(tmp_path, capsys):
